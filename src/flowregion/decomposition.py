@@ -7,14 +7,18 @@ the trend; the loop runs a fixed number of iterations. Robustness (outer)
 iterations are supported but default to zero. Nine of the twenty-eight
 features derive from the result.
 
-The Loess smoother exploits the regular time grid: interior windows share one
-tricube weight vector, so the fit collapses to a single convolution, while the
-asymmetric boundary windows (and every window when robustness weights are in
-play) are solved as small batched weighted least-squares systems.
+The Loess smoother exploits the regular time grid. Without robustness weights
+each fit is a fixed linear combination of the window's values: interior
+windows share one kernel, so they collapse to a single convolution, and the
+asymmetric boundary windows use hat-matrix rows that depend only on the
+window length and degree, built once per process and cached. Windows too
+wide for a cached operator, and every window when robustness weights are in
+play, are solved as small batched weighted least-squares systems.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,10 @@ STL_FEATURES = (
 )
 
 PERIODIC = "periodic"
+
+#: Elements of one batch of solved windows, and the largest cached operator
+#: (q * q elements, 16 MB): wider windows are solved batch by batch instead.
+_BATCH_ELEMENTS = 2_000_000
 
 
 @dataclass
@@ -115,6 +123,42 @@ def _solve_windows(y, lo, centers, q, d_max, degree, robustness_weights):
     return coefs[:, 0, 0]
 
 
+@functools.lru_cache(maxsize=8)
+def _window_operator(q: int, span: int, degree: int) -> np.ndarray:
+    """Read-only hat-matrix rows of the q windows that cover y[:q].
+
+    Without robustness weights each Loess fit is linear in y, and the weights
+    of a window depend only on its length, the fitted centre and the degree:
+    row c gives the fitted value at centre c of y[:q] as a dot product. The
+    rows do not depend on the data or on the series length, so they are built
+    once per (q, span, degree) and reused. With q < n, span == q: the first
+    and last (q - 1) // 2 rows serve the boundary windows and the middle row
+    is the interior convolution kernel. With q == n (span >= n) every window
+    is the whole series and the tricube scale is stretched by span / q.
+    """
+    centers = np.arange(q)
+    t = (centers[None, :] - centers[:, None]).astype(np.float64)
+    d_max = np.maximum(centers, q - 1 - centers) * (span / q)
+    w = _tricube(np.abs(t) / np.where(d_max > 0, d_max, 1.0)[:, None])
+    if np.any(w.sum(axis=1) <= 0.0):
+        raise SingularFit("all weights vanished inside a local regression window")
+    weighted_powers = [w]  # w * t**a
+    for _ in range(2 * degree):
+        weighted_powers.append(weighted_powers[-1] * t)
+    moments = np.stack([p.sum(axis=1) for p in weighted_powers], axis=1)
+    a_mat = moments[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
+    e0 = np.zeros((q, degree + 1, 1))
+    e0[:, 0] = 1.0
+    try:
+        g = np.linalg.solve(a_mat, e0)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularFit(f"singular local regression system: {exc}") from exc
+    # the systems are symmetric, so e0' A^-1 X'W = (A^-1 e0)' X'W
+    op = sum(g[:, a, None] * weighted_powers[a] for a in range(degree + 1))
+    op.flags.writeable = False
+    return op
+
+
 def loess_smooth(y, span: int, degree: int = 1, robustness_weights=None) -> np.ndarray:
     """Locally weighted polynomial smoothing on a regular grid.
 
@@ -143,42 +187,33 @@ def loess_smooth(y, span: int, degree: int = 1, robustness_weights=None) -> np.n
     q = min(span, n)
     if q == 1:
         return y.copy()
+    half = (q - 1) // 2
+
+    if robustness_weights is None and q * q <= _BATCH_ELEMENTS:
+        op = _window_operator(q, span, degree)
+        if q == n:
+            return op @ y
+        out = np.empty(n)
+        out[:half] = op[:half] @ y[:q]
+        out[half : n - half] = np.convolve(y, op[half][::-1], mode="valid")
+        out[n - half :] = op[q - half :] @ y[n - q :]
+        return out
+
     rw = None
     if robustness_weights is not None:
         rw = np.asarray(robustness_weights, dtype=np.float64)
         if rw.shape != y.shape:
             raise ValueError("robustness weights must match the series length")
-
-    half = (q - 1) // 2
     centers = np.arange(n)
     lo = np.clip(centers - half, 0, n - q)
     d_max = np.maximum(centers - lo, lo + q - 1 - centers).astype(np.float64)
     if span > n:
         d_max = d_max * (span / n)
-
     out = np.empty(n)
-    if rw is None and q < n:
-        # interior windows are symmetric and share one weight vector,
-        # so those fits collapse to a single convolution
-        t = (np.arange(q) - half).astype(np.float64)
-        w = _tricube(np.abs(t) / half) if half > 0 else np.ones(q)
-        design = np.vander(t, degree + 1, increasing=True)
-        a_mat = design.T @ (w[:, None] * design)
-        try:
-            kernel = np.linalg.solve(a_mat, (w[:, None] * design).T)[0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularFit(f"singular interior window: {exc}") from exc
-        out[half : n - half] = np.convolve(y, kernel[::-1], mode="valid")
-        boundary = np.concatenate([np.arange(half), np.arange(n - half, n)])
-    else:
-        boundary = centers
-    if boundary.size:
-        chunk = max(1, 2_000_000 // max(q, 1))
-        for start in range(0, boundary.size, chunk):
-            piece = boundary[start : start + chunk]
-            out[piece] = _solve_windows(
-                y, lo[piece], piece, q, d_max[piece], degree, rw
-            )
+    chunk = max(1, _BATCH_ELEMENTS // q)
+    for start in range(0, n, chunk):
+        piece = centers[start : start + chunk]
+        out[piece] = _solve_windows(y, lo[piece], piece, q, d_max[piece], degree, rw)
     return out
 
 

@@ -14,6 +14,10 @@ DISTRIBUTIONAL_FEATURES = (
     "nonlinearity",
 )
 
+#: A linear-fit residual sum of squares below this share of y'y is rounding
+#: (1e-32 to 1e-28 for exact recursions), not a fit to explain.
+_EXACT_FIT = 1e-20
+
 
 def std1st_der(z: StandardizedSeries) -> float:
     """Sample standard deviation of the first-order differenced series."""
@@ -109,12 +113,15 @@ def nonlinearity(z: StandardizedSeries) -> float:
     ones = np.ones_like(y)
     linear = np.column_stack([ones, z1, z2])
     coef, _, rank, _ = np.linalg.lstsq(linear, y, rcond=None)
-    if rank < linear.shape[1]:
-        raise SingularDesign("collinear lag regressors in the nonlinearity test")
     resid = y - linear @ coef
     ssr0 = float(resid @ resid)
-    if ssr0 <= 1e-300:
-        return 0.0  # perfect linear fit; zero statistic by continuity
+    if ssr0 < _EXACT_FIT * float(y @ y):
+        # an exact linear recursion (a noiseless sine, a ramp) leaves only
+        # rounding; its statistic is zero by continuity, even where the lag
+        # regressors are collinear
+        return 0.0
+    if rank < linear.shape[1]:
+        raise SingularDesign("collinear lag regressors in the nonlinearity test")
     aux = np.column_stack([
         ones, z1, z2,
         z1 * z1, z1 * z2, z2 * z2,

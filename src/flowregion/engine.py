@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomposition, dependence, distributional
-from .errors import ExtractionFailed, FlowRegionError
+from .errors import ExtractionFailed, FlowRegionError, NonFinite, NonIntegral
 from .series import TimeSeries, standardize, validate
 
 logger = logging.getLogger(__name__)
@@ -61,11 +61,11 @@ class FeatureVector:
             )
         if not np.isfinite(self.values).all():
             bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(self.values))]
-            raise ValueError(f"non-finite feature value(s): {', '.join(bad)}")
+            raise NonFinite(f"non-finite feature value(s): {', '.join(bad)}")
         for name in INTEGER_FEATURES:
             v = self.values[_INDEX[name]]
             if v != np.floor(v):
-                raise ValueError(f"{name} must be integral, got {v!r}")
+                raise NonIntegral(f"{name} must be integral, got {v!r}")
 
     @classmethod
     def from_dict(cls, mapping: dict[str, float]) -> "FeatureVector":
@@ -124,7 +124,7 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
         inner_iterations=cfg.stl_inner_iterations,
         outer_iterations=cfg.stl_outer_iterations,
     ).as_dict()))
-    return FeatureVector.from_dict(out)
+    return _step("feature vector", lambda: FeatureVector.from_dict(out))
 
 
 @dataclass

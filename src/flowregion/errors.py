@@ -11,8 +11,8 @@ class MissingData(FlowRegionError):
     """A date gap or NaN value where a complete daily record is required."""
 
 
-class NonFinite(FlowRegionError):
-    """An infinite value in a series that must be finite."""
+class NonFinite(FlowRegionError, ValueError):
+    """An infinite value in a series, or a non-finite feature value."""
 
 
 class TooShort(FlowRegionError):
@@ -47,6 +47,10 @@ class SingularFit(FlowRegionError):
 
 class DegenerateVariance(FlowRegionError):
     """A variance ratio in the decomposition features is undefined."""
+
+
+class NonIntegral(FlowRegionError, ValueError):
+    """A count-valued feature with a fractional value."""
 
 
 class ExtractionFailed(FlowRegionError):

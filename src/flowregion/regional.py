@@ -93,6 +93,16 @@ def average_ranks(values) -> np.ndarray:
     return ranks
 
 
+def _centred_ranks(values) -> np.ndarray:
+    ranks = average_ranks(values)
+    ranks -= ranks.mean()
+    return ranks
+
+
+def _rank_pearson(rx: np.ndarray, ry: np.ndarray) -> float:
+    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+
+
 def spearman(x, y) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks."""
     x = np.asarray(x, dtype=np.float64)
@@ -103,11 +113,7 @@ def spearman(x, y) -> float:
         raise LengthMismatch("need at least three pairs")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantVector("spearman undefined for a constant vector")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+    return _rank_pearson(_centred_ranks(x), _centred_ranks(y))
 
 
 @dataclass
@@ -128,13 +134,14 @@ def correlation_matrix(records: list[CatchmentRecord]) -> CorrelationMatrix:
         raise LengthMismatch("need at least three catchments")
     preds = predictor_matrix(records, list(ALL_PREDICTORS))
     targets = np.column_stack([target_vector(records, f) for f in FEATURE_NAMES])
-    rho = np.empty((len(ALL_PREDICTORS), len(FEATURE_NAMES)))
-    for i in range(preds.shape[1]):
-        for j in range(targets.shape[1]):
-            try:
-                rho[i, j] = spearman(preds[:, i], targets[:, j])
-            except ConstantVector:
-                rho[i, j] = np.nan
+    # each column is ranked once; a constant column (None) leaves NaN entries
+    pred_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in preds.T]
+    target_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in targets.T]
+    rho = np.full((len(ALL_PREDICTORS), len(FEATURE_NAMES)), np.nan)
+    for i, rx in enumerate(pred_ranks):
+        for j, ry in enumerate(target_ranks):
+            if rx is not None and ry is not None:
+                rho[i, j] = _rank_pearson(rx, ry)
     return CorrelationMatrix(list(ALL_PREDICTORS), list(FEATURE_NAMES), rho)
 
 

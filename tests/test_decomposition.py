@@ -5,14 +5,17 @@ from flowregion.decomposition import (
     Decomposition,
     _leave_one_out_variances,
     _orthonormal_time_polynomials,
+    _solve_windows,
+    _window_operator,
     loess_smooth,
     stl_decompose,
     stl_feature_set,
 )
-from flowregion.errors import TooShort
+from flowregion.engine import extract_features
+from flowregion.errors import SingularFit, TooShort
 from flowregion.series import StandardizedSeries, zscore
 
-from conftest import sine, standardized, white_noise
+from conftest import ar1, daily_series, sine, standardized, white_noise
 
 
 class TestLoess:
@@ -55,6 +58,74 @@ class TestLoess:
             loess_smooth(np.arange(10.0), 3, degree=3)
         with pytest.raises(ValueError):
             loess_smooth(np.arange(10.0), 1, degree=1)  # span < degree + 1
+
+
+def direct_loess(y, span, degree):
+    """Reference Loess: every window solved as its own least-squares system."""
+    n = y.size
+    q = min(span, n)
+    half = (q - 1) // 2
+    centers = np.arange(n)
+    lo = np.clip(centers - half, 0, n - q)
+    d_max = np.maximum(centers - lo, lo + q - 1 - centers) * (max(span, n) / n)
+    chunk = max(1, 2_000_000 // q)
+    return np.concatenate([
+        _solve_windows(y, lo[s : s + chunk], centers[s : s + chunk], q,
+                       d_max[s : s + chunk], degree, None)
+        for s in range(0, n, chunk)
+    ])
+
+
+class TestLoessOperator:
+    @pytest.mark.parametrize("n", [40, 3650, 12410])
+    @pytest.mark.parametrize("span", [3, 11, 365, 731])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_matches_direct_window_solves(self, n, span, degree):
+        rng = np.random.default_rng(n + span + degree)
+        y = 10.0 + np.cumsum(rng.normal(size=n)) * 0.1
+        try:
+            want = direct_loess(y, span, degree)
+        except SingularFit:
+            with pytest.raises(SingularFit):
+                loess_smooth(y, span, degree=degree)
+            return
+        got = loess_smooth(y, span, degree=degree)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_operator_is_cached_and_read_only(self):
+        y = np.random.default_rng(0).normal(size=500)
+        loess_smooth(y, 101)
+        before = _window_operator.cache_info()
+        loess_smooth(y[:300], 101)
+        after = _window_operator.cache_info()
+        assert after.hits == before.hits + 1 and after.misses == before.misses
+        op = _window_operator(101, 101, 1)
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
+#: The 28 features of each conftest series shape, pinned from the per-window
+#: Loess solver that the cached operators replaced.
+GOLDEN_FEATURES = {
+    "ar1": (0.6952750854706676, 0.9381888366042189, -0.15062291266768751, 0.046969875610402445, -0.5164490209443943, 0.27133367626407945, 0.010980445923902044, 19.0, 0.48376535040492885, 0.07321574353865662, 0.5739237432230985, 0.02059830182098056, 0.7798872843989346, 930.0, 0.9045363070318657, 11.0, 0.05221488733955702, 0.01410255919720422, 0.016858848086073186, 0.022265963206249628, 1.2827882577539956e-07, 2.758447983723556, -5.115412888880764, 0.6893818299360241, 0.8866510064602835, 0.10244632379782559, 42.0, 278.0),
+    "white_noise": (-0.011167636565258003, 0.00125183542486624, -0.5071808744003036, 0.2582288031182723, -0.6717269663608163, 0.48185796517791146, -0.0017186749557065483, 1.0, 0.001071403499106776, 0.4913998850821549, 1.0446882702626032, -0.005796919736133361, 1.4221752103238798, 1851.0, 0.9937931768934735, 6.0, 0.0023650941731075165, 0.0037337349636622466, 0.014767355552914863, 0.00416498148766653, 1.1503989053372708e-07, 2.336617910935483, 1.4790905814935076, -0.021293921371499217, 0.0025201866663696016, 0.10425036124934661, 188.0, 304.0),
+    "sine": (0.9260965528948528, 8.45451690283434, -0.4805693703646234, 0.2336307399309822, -0.6529154535248868, 0.44879483891457755, 0.8339601545947879, 93.0, 1.2626197986031413, 0.44650361713434483, 1.0090306279694492, 0.0037074214574047163, 0.3843806361609359, 269.0, 0.39622398275279125, 11.0, 0.0007105761340307029, 0.00015340013666784145, 0.4798595779482384, 0.0027787946206195846, 6.846704210563845e-10, -0.3906116099041329, -0.035581119748180526, 0.013715100879113429, 0.003222195543881056, 0.9324468328236037, 91.0, 275.0),
+    "trend": (0.8910408321304553, 7.920776786747706, -0.5187780622788378, 0.2715212877238777, -0.6780231845291276, 0.4957384301762593, 0.631586264732263, 730.0, 1.216627594262725, 0.5057862199769525, 1.064316884734809, 0.01267701403107439, 0.4650653792655326, 449.0, 0.4593062230353322, 12.0, 9.750731551071075e-05, 0.9822625250549558, 0.265187613565121, 0.9046054661157614, 1.2944192874184265e-09, 57.0633410544882, 0.17042347116112624, -0.020092568801713385, 0.0018812179844295974, 0.1086143618473987, 154.0, 56.0),
+}
+
+GOLDEN_SERIES = {
+    "ar1": lambda: ar1(3650, 0.7, seed=1),
+    "white_noise": lambda: white_noise(3650, seed=2),
+    "sine": lambda: sine(3650, noise_sd=0.2, seed=3),
+    "trend": lambda: np.arange(3650.0) / 365.0 + white_noise(3650, seed=4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SERIES))
+def test_features_match_golden(shape):
+    fv = extract_features(daily_series(GOLDEN_SERIES[shape]()))
+    np.testing.assert_allclose(fv.values, GOLDEN_FEATURES[shape], rtol=0.0, atol=1e-12)
 
 
 class TestStlDecompose:

@@ -169,9 +169,23 @@ class TestNonlinearity:
     def test_nonnegative(self, rng):
         assert nonlinearity(StandardizedSeries(rng.normal(size=200))) >= 0.0
 
-    def test_singular_design(self):
+    def test_singular_design(self, rng):
         with pytest.raises(SingularDesign):
             nonlinearity(StandardizedSeries(np.zeros(50)))
+        # rank-deficient designs that the linear terms do not fit exactly
+        binary = (rng.random(400) < 0.5).astype(float)
+        with pytest.raises(SingularDesign, match="monomial"):
+            nonlinearity(StandardizedSeries(zscore(binary)))
+        late_step = np.concatenate([np.zeros(398), [1.0, 3.0]])
+        with pytest.raises(SingularDesign, match="collinear"):
+            nonlinearity(StandardizedSeries(zscore(late_step)))
+
+    @pytest.mark.parametrize("n", [3650, 12410])
+    def test_exact_linear_recursions_give_zero(self, n):
+        noiseless_sine = np.sin(2.0 * np.pi * np.arange(1, n + 1) / 365)
+        ramp = np.arange(float(n))
+        for x in (noiseless_sine, ramp):
+            assert nonlinearity(StandardizedSeries(zscore(x))) == 0.0
 
     def test_too_short(self):
         with pytest.raises(TooShort):

@@ -11,7 +11,8 @@ from flowregion.engine import (
     read_feature_table,
     write_feature_table,
 )
-from flowregion.errors import ExtractionFailed
+from flowregion import distributional
+from flowregion.errors import ExtractionFailed, NonFinite
 from flowregion.series import TimeSeries
 
 from conftest import daily_series, sine, white_noise
@@ -110,6 +111,24 @@ class TestExtractBatch:
         assert exclusions[0].catchment_id == "c01"
         assert "ZeroVariance" in exclusions[0].reason
 
+    def test_exact_linear_series_kept_under_drop_policy(self):
+        t = np.arange(1, 3651)
+        tasks = [("c00", "streamflow", TimeSeries(np.sin(2.0 * np.pi * t / 365))),
+                 ("c01", "streamflow", TimeSeries(t.astype(float)))]
+        rows, exclusions = extract_batch(tasks, policy="drop")
+        assert not exclusions and len(rows) == 2
+        for row in rows:
+            assert np.isfinite(row.features.values).all()
+            assert row.features["nonlinearity"] == 0.0
+
+    def test_non_finite_feature_is_a_named_exclusion(self, monkeypatch):
+        monkeypatch.setattr(distributional, "nonlinearity", lambda z: float("nan"))
+        rows, exclusions = extract_batch(_batch_tasks(1), policy="drop")
+        assert not rows and len(exclusions) == 3
+        for exc in exclusions:
+            assert exc.reason.startswith("NonFinite in feature vector")
+            assert "nonlinearity" in exc.reason
+
     def test_strict_policy_raises(self):
         with pytest.raises(ExtractionFailed):
             extract_batch(_batch_tasks(2, bad=("c00", "temperature")), policy="strict")
@@ -140,6 +159,18 @@ class TestFeatureTableIO:
         write_feature_table(path, rows)
         reread = read_feature_table(path)
         np.testing.assert_array_equal(reread[0].features.values, rows[0].features.values)
+
+    def test_corrupt_value_rejected(self, tmp_path):
+        rows, _ = extract_batch(_batch_tasks(1))
+        path = tmp_path / "features.csv"
+        write_feature_table(path, rows)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "nan"
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFinite, match="x_acf1"):
+            read_feature_table(path)
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "bogus.csv"
