@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import hashlib
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .dataio import IngestConfig, assemble_rows, read_attributes
+from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, read_attributes
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
 from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table
@@ -54,6 +55,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EXTRACTION = 3
 EXIT_CONFIG = 4
+
+#: Written next to features.csv; names the inputs and options it came from.
+FINGERPRINT_FILE = "features.fingerprint.json"
 
 
 @dataclasses.dataclass
@@ -222,23 +226,33 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _synthetic_spec(cfg: RunConfig) -> synthetic.SyntheticSpec:
+    return synthetic.SyntheticSpec(n_catchments=cfg.synthetic_catchments,
+                                   n_years=cfg.synthetic_years, period=cfg.period)
+
+
+def _resolve_inputs(cfg: RunConfig) -> RunConfig:
+    """Input paths and the effective window; the synthetic set brings its own."""
+    if not cfg.synthetic:
+        return cfg
+    series_dir = cfg.series_dir or cfg.output_dir / "synthetic_data"
+    spec = _synthetic_spec(cfg)
+    return dataclasses.replace(
+        cfg, series_dir=series_dir,
+        attributes_file=cfg.attributes_file or series_dir / "attributes.csv",
+        start=datetime.date(spec.start_year, 1, 1),
+        end=datetime.date(spec.start_year + spec.n_years - 1, 12, 31),
+    )
+
+
 def _prepare_inputs(cfg: RunConfig) -> RunConfig:
     """Resolve input paths, generating the synthetic dataset when asked."""
+    cfg = _resolve_inputs(cfg)
     if cfg.synthetic:
-        series_dir = cfg.series_dir or cfg.output_dir / "synthetic_data"
-        attributes = cfg.attributes_file or series_dir / "attributes.csv"
-        spec = synthetic.SyntheticSpec(
-            n_catchments=cfg.synthetic_catchments,
-            n_years=cfg.synthetic_years,
-            period=cfg.period,
-        )
-        synthetic.generate(series_dir, attributes,
-                           seed=child_seed(cfg.seed, "synthetic"), spec=spec)
-        first = datetime.date(spec.start_year, 1, 1)
-        last = datetime.date(spec.start_year + spec.n_years - 1, 12, 31)
-        return dataclasses.replace(cfg, series_dir=series_dir,
-                                   attributes_file=attributes,
-                                   start=first, end=last)
+        synthetic.generate(cfg.series_dir, cfg.attributes_file,
+                           seed=child_seed(cfg.seed, "synthetic"),
+                           spec=_synthetic_spec(cfg))
+        return cfg
     if not Path(cfg.attributes_file).exists():
         raise ParseError(f"attributes file not found: {cfg.attributes_file}")
     if not Path(cfg.series_dir).is_dir():
@@ -253,7 +267,35 @@ def _echo_config(cfg: RunConfig) -> None:
         fh.write("\n")
 
 
+def _fingerprint(cfg: RunConfig) -> str:
+    """What the feature table depends on, for resolved inputs: the effective
+    ingest and feature config plus a sha256 of the attributes file and of
+    every series file that extraction reads."""
+    digest = hashlib.sha256(Path(cfg.attributes_file).read_bytes())
+    for cid in sorted(read_attributes(cfg.attributes_file)):
+        for variable in SERIES_VARIABLES:
+            path = Path(cfg.series_dir) / f"{cid}_{variable}.csv"
+            digest.update(f"\0{path.name}\0".encode())
+            if path.exists():
+                digest.update(path.read_bytes())
+    ingest = dataclasses.asdict(cfg.ingest_config())
+    del ingest["workers"]  # never changes the table
+    payload = {
+        "ingest": ingest,
+        "synthetic": (
+            {"catchments": cfg.synthetic_catchments, "years": cfg.synthetic_years,
+             "seed": cfg.seed}
+            if cfg.synthetic else None
+        ),
+        "inputs_sha256": digest.hexdigest(),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+
+
 def _extract_records(cfg: RunConfig):
+    fingerprint = _fingerprint(cfg)
+    stamp = cfg.output_dir / FINGERPRINT_FILE
+    stamp.unlink(missing_ok=True)  # no stamp may outlive the table it described
     records, exclusions = _load_dataset(cfg.series_dir, cfg.attributes_file,
                                         cfg.ingest_config())
     rows = [
@@ -268,24 +310,32 @@ def _extract_records(cfg: RunConfig):
         fh.write("catchment_id,variable,reason\n")
         for exc in exclusions:
             fh.write(f"{exc.catchment_id},{exc.variable},{exc.reason}\n")
+    stamp.write_text(fingerprint, encoding="utf-8")
     return records
 
 
 def _obtain_records(cfg: RunConfig):
-    """Reuse an existing features.csv when possible, else extract on the fly."""
-    features_path = cfg.output_dir / "features.csv"
-    if cfg.synthetic and cfg.attributes_file is None:
-        default_attrs = (cfg.series_dir or cfg.output_dir / "synthetic_data") / "attributes.csv"
+    """Reuse features.csv when its fingerprint matches the current inputs and
+    options, else extract again."""
+    cfg = _resolve_inputs(cfg)
+    stamp = cfg.output_dir / FINGERPRINT_FILE
+    if not (cfg.output_dir / "features.csv").exists():
+        reason = "no features.csv"
+    elif not stamp.exists():
+        reason = f"no {FINGERPRINT_FILE}"
+    elif not Path(cfg.attributes_file).exists():
+        reason = "the attributes file is missing"
+    elif stamp.read_text(encoding="utf-8") != _fingerprint(cfg):
+        reason = "inputs or data-affecting options changed"
     else:
-        default_attrs = cfg.attributes_file
-    if features_path.exists() and default_attrs and Path(default_attrs).exists():
-        rows = read_feature_table(features_path)
-        attributes = read_attributes(default_attrs, cfg.log_transform)
-        records = assemble_rows(rows, attributes)
+        rows = read_feature_table(cfg.output_dir / "features.csv")
+        records = assemble_rows(rows, read_attributes(cfg.attributes_file,
+                                                      cfg.log_transform))
         if records:
             return records
-    cfg = _prepare_inputs(cfg)
-    return _extract_records(cfg)
+        reason = "features.csv holds no complete record"
+    logger.info("extracting features under %s: %s", cfg.output_dir, reason)
+    return _extract_records(_prepare_inputs(cfg))
 
 
 def cmd_extract(cfg: RunConfig) -> int:

@@ -7,13 +7,21 @@ the lower predictor index, then the lower threshold. Every stochastic step
 draws from a substream keyed on (seed, tree index), so results are
 bit-identical regardless of worker count.
 
+Each node sorts integer keys instead of floats. Once per fit every value is
+replaced by its dense rank within its column, shifted into the high 32 bits;
+a node ORs each row's position into the low bits. The keys are unique, so any
+sort of them gives the stable order of the values: the low word is the sort
+order and equal high words mark tied values.
+
 Permutation importance follows the unnormalized per-tree scheme: for each
 tree the out-of-bag mean square error is compared against the error after
 shuffling one predictor within that tree's out-of-bag rows, and the
 differences are averaged over trees. Predictors a tree never splits on leave
 its predictions unchanged, so their per-tree difference is exactly zero and
 the shuffle is skipped; per-(tree, predictor) substreams keep the skipped
-draws from shifting any other permutation.
+draws from shifting any other permutation. The permuted copies of a tree's
+out-of-bag block are never built: one descent of the tree reads each copy's
+permuted predictor through that copy's row permutation.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ class DesignMatrix:
     columns: list[str]
     X: np.ndarray
     y: np.ndarray
-    row_ids: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -100,21 +107,42 @@ class ImportanceReport:
     ranks: np.ndarray  # permutation of 1..p, 1 = most important
 
 
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+_HIGH_SHIFT = np.uint64(32)
+
+
+def _rank_keys(X: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column, shifted into the high word.
+
+    Laid out predictors x rows, so a node gathers its candidates' keys as rows.
+    """
+    cols = X.T
+    order = cols.argsort(axis=1)
+    ordered = np.take_along_axis(cols, order, axis=1)
+    steps = np.zeros(cols.shape, dtype=np.uint64)
+    steps[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    keys = np.empty_like(steps)
+    np.put_along_axis(keys, order, steps.cumsum(axis=1) << _HIGH_SHIFT, axis=1)
+    return keys
+
+
 def _inverse_sizes(cache: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
     inv = cache.get(m)
     if inv is None:
-        sizes = np.arange(1, m, dtype=np.float64)[:, None]
+        sizes = np.arange(1, m, dtype=np.float64)
         inv = (1.0 / sizes, 1.0 / sizes[::-1])
         cache[m] = inv
     return inv
 
 
-def _grow_tree(X, y, mtry, min_node_size, rng, size_cache):
+def _grow_tree(X, keys, y, mtry, min_node_size, rng, size_cache):
     n, p = X.shape
     inbag = rng.integers(0, n, size=n)
     oob = np.flatnonzero(np.bincount(inbag, minlength=n) == 0)
     Xb = X[inbag]
+    kb = keys[:, inbag]
     yb = y[inbag]
+    positions = np.arange(n, dtype=np.uint64)
 
     feature = [-1]
     threshold = [np.nan]
@@ -122,7 +150,7 @@ def _grow_tree(X, y, mtry, min_node_size, rng, size_cache):
     right = [-1]
     value = [np.nan]
 
-    col_range = np.arange(min(mtry, p))[None, :]
+    n_cand = min(mtry, p)
     stack = [(0, np.arange(n))]
     while stack:
         node, rows = stack.pop()
@@ -132,39 +160,43 @@ def _grow_tree(X, y, mtry, min_node_size, rng, size_cache):
         if m < 2 * min_node_size or ys.max() == ys.min():
             value[node] = total / m
             continue
-        cand = rng.permutation(p)[: col_range.size]
+        cand = rng.permutation(p)[:n_cand]
         cand.sort()
-        Xs = Xb[rows[:, None], cand[None, :]]
-        order = Xs.argsort(axis=0, kind="stable")
-        xs = Xs[order, col_range]
-        csum = ys[order].cumsum(axis=0)
+        # unique keys: any sort gives the stable order of the values, with
+        # ties ordered by position in rows
+        ks = kb[cand].take(rows, axis=1)
+        ks |= positions[:m]
+        ks.sort(axis=1)
+        order = (ks & _LOW_WORD).astype(np.intp)
+        ranks = ks >> _HIGH_SHIFT
+        csum = ys[order].cumsum(axis=1)
         inv_left, inv_right = _inverse_sizes(size_cache, m)
-        s_left = csum[:-1]
+        s_left = csum[:, :-1]
         s_right = total - s_left
         gain = s_left * s_left * inv_left + s_right * s_right * inv_right
-        gain[xs[1:] <= xs[:-1]] = -np.inf
+        gain[ranks[:, 1:] == ranks[:, :-1]] = -np.inf
         if min_node_size > 1:
-            gain[: min_node_size - 1] = -np.inf
-            gain[m - min_node_size :] = -np.inf
-        # feature-major flattening: ties resolve to the lower predictor
-        # index, then the lower threshold
-        flat = gain.ravel(order="F")
-        best = int(flat.argmax())
-        if flat[best] == -np.inf:
+            gain[:, : min_node_size - 1] = -np.inf
+            gain[:, m - min_node_size :] = -np.inf
+        # candidates are rows, so the C order is feature-major: ties resolve
+        # to the lower predictor index, then the lower threshold
+        best = int(gain.argmax())
+        j, i = divmod(best, m - 1)
+        if gain[j, i] == -np.inf:
             value[node] = total / m
             continue
-        j, i = divmod(best, m - 1)
-        thr = 0.5 * (xs[i, j] + xs[i + 1, j])
 
         # positions 0..i of the j-th sort order are exactly the rows <= thr
-        rows_sorted = rows[order[:, j]]
+        rows_sorted = rows[order[j]]
+        f = int(cand[j])
+        thr = 0.5 * (Xb[rows_sorted[i], f] + Xb[rows_sorted[i + 1], f])
         left_idx = len(feature)
         feature.extend((-1, -1))
         threshold.extend((np.nan, np.nan))
         left.extend((-1, -1))
         right.extend((-1, -1))
         value.extend((np.nan, np.nan))
-        feature[node] = int(cand[j])
+        feature[node] = f
         threshold[node] = float(thr)
         left[node] = left_idx
         right[node] = left_idx + 1
@@ -182,11 +214,11 @@ def _grow_tree(X, y, mtry, min_node_size, rng, size_cache):
     )
 
 
-def _grow_range(X, y, mtry, min_node_size, seed, start, stop):
+def _grow_range(X, keys, y, mtry, min_node_size, seed, start, stop):
     size_cache: dict = {}
     return [
-        _grow_tree(X, y, mtry, min_node_size, substream(seed, _TREE_STREAM, t),
-                   size_cache)
+        _grow_tree(X, keys, y, mtry, min_node_size,
+                   substream(seed, _TREE_STREAM, t), size_cache)
         for t in range(start, stop)
     ]
 
@@ -207,30 +239,39 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
     if not 1 <= mtry <= p:
         raise ValueError(f"mtry must be in [1, {p}], got {mtry}")
 
+    keys = _rank_keys(data.X)
     if params.workers > 1 and params.n_trees > 1:
         bounds = np.linspace(0, params.n_trees, params.workers + 1).astype(int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
             futures = [
-                pool.submit(_grow_range, data.X, data.y, mtry,
+                pool.submit(_grow_range, data.X, keys, data.y, mtry,
                             params.min_node_size, seed, a, b)
                 for a, b in chunks
             ]
             trees = [tree for fut in futures for tree in fut.result()]
     else:
-        trees = _grow_range(data.X, data.y, mtry, params.min_node_size, seed,
-                            0, params.n_trees)
+        trees = _grow_range(data.X, keys, data.y, mtry, params.min_node_size,
+                            seed, 0, params.n_trees)
     return ForestModel(trees=trees, columns=list(data.columns), params=params,
                        seed=seed, n_rows=n)
 
 
-def _tree_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+def _tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
+                  perms=None) -> np.ndarray:
+    """Leaf value reached by each row of X.
+
+    Given k predictor indices ``cols`` and a k x n array ``perms`` of row
+    permutations, predicts k permuted copies of X in one descent instead:
+    row r of copy c reads predictor ``cols[c]`` from row ``perms[c, r]`` and
+    every other predictor from row r. The result is then k x n.
+    """
     n = X.shape[0]
     feature, threshold = tree.feature, tree.threshold
     left, right, value = tree.left, tree.right, tree.value
     if n == 0:
         return np.empty(0)
-    if n < 64:
+    if n < 64 and cols is None:
         # scalar descent beats vectorized traversal for small batches
         lists = getattr(tree, "_lists", None)
         if lists is None:
@@ -248,14 +289,27 @@ def _tree_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
                 f = fl[node]
             out[i] = vl[node]
         return out
-    nodes = np.zeros(n, dtype=np.int64)
+    # rows are flat offsets into X: a 1-d take is cheaper than X[rows, cols]
+    p = X.shape[1]
+    flat = X.ravel()
+    row_off = np.arange(0, n * p, p)
+    if cols is not None:
+        copy_col = np.repeat(cols, n)
+        perm_off = perms.ravel() * p
+        row_off = np.tile(row_off, len(cols))
+    nodes = np.zeros(row_off.size, dtype=np.int64)
     active = np.flatnonzero(feature[nodes] >= 0)
     while active.size:
         cur = nodes[active]
-        go_left = X[active, feature[cur]] <= threshold[cur]
+        f = feature[cur]
+        off = row_off[active]
+        if cols is not None:
+            off = np.where(f == copy_col[active], perm_off[active], off)
+        go_left = flat.take(off + f) <= threshold[cur]
         nodes[active] = np.where(go_left, left[cur], right[cur])
         active = active[feature[nodes[active]] >= 0]
-    return value[nodes]
+    out = value[nodes]
+    return out if cols is None else out.reshape(len(cols), n)
 
 
 def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -316,17 +370,18 @@ def permutation_importance(
         if o.size == 0:
             continue
         trees_used += 1
-        Xo = data.X[o].copy()
+        Xo = data.X[o]
         yo = data.y[o]
         base = _tree_predict(tree, Xo)
         mse0 = float((base - yo) @ (base - yo)) / o.size
         used = np.unique(tree.feature[tree.feature >= 0])
-        for j in used:
-            rng = substream(seed, _PERM_STREAM, t, int(j))
-            saved = Xo[:, j].copy()
-            Xo[:, j] = saved[rng.permutation(o.size)]
-            pred = _tree_predict(tree, Xo)
-            Xo[:, j] = saved
+        if used.size == 0:
+            continue
+        perms = np.stack([
+            substream(seed, _PERM_STREAM, t, int(j)).permutation(o.size)
+            for j in used
+        ])
+        for j, pred in zip(used, _tree_predict(tree, Xo, used, perms)):
             mse_j = float((pred - yo) @ (pred - yo)) / o.size
             diffs[j] += mse_j - mse0
     if trees_used == 0:
@@ -345,20 +400,3 @@ def _check_training_data(model: ForestModel, data: DesignMatrix) -> None:
         raise ColumnMismatch(
             f"expected the {model.n_rows} training rows, got {data.X.shape[0]}"
         )
-
-
-def dump_model(model: ForestModel, path) -> None:
-    """Debug dump of every tree's splits and leaf means (format not stable)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"forest seed={model.seed} trees={len(model.trees)} "
-                 f"columns={','.join(model.columns)}\n")
-        for t, tree in enumerate(model.trees):
-            fh.write(f"tree {t} nodes={tree.feature.size} oob={tree.oob.size}\n")
-            for i in range(tree.feature.size):
-                if tree.feature[i] >= 0:
-                    fh.write(
-                        f"  node {i}: {model.columns[tree.feature[i]]} "
-                        f"<= {tree.threshold[i]!r} -> ({tree.left[i]}, {tree.right[i]})\n"
-                    )
-                else:
-                    fh.write(f"  leaf {i}: {tree.value[i]!r}\n")

@@ -62,12 +62,17 @@ def group_columns(group: str) -> list[str]:
 def predictor_matrix(records: list[CatchmentRecord], columns: list[str]) -> np.ndarray:
     """Assemble the catchments x predictors matrix for the given columns."""
     rows = np.empty((len(records), len(columns)))
+    blocks: dict[str, np.ndarray] = {}  # variable -> catchments x 28 features
     for j, col in enumerate(columns):
         if col in STATIC_ATTRIBUTES:
             rows[:, j] = [r.static[col] for r in records]
         else:
             variable, _, feature = col.partition("_")
-            rows[:, j] = [r.features(variable)[feature] for r in records]
+            if variable not in blocks:
+                blocks[variable] = np.array(
+                    [r.features(variable).values for r in records]
+                ).reshape(len(records), len(FEATURE_NAMES))
+            rows[:, j] = blocks[variable][:, FEATURE_NAMES.index(feature)]
     return rows
 
 
@@ -201,13 +206,12 @@ def cross_validate(
     columns = group_columns(group)
     X = predictor_matrix(records, columns)
     y = target_vector(records, target)
-    ids = [r.catchment_id for r in records]
     predictions = np.empty(len(records))
     all_rows = np.arange(len(records))
     for fold_index, fold in enumerate(folds):
         train = np.setdiff1d(all_rows, fold, assume_unique=True)
         model = fit(
-            DesignMatrix(columns, X[train], y[train], [ids[i] for i in train]),
+            DesignMatrix(columns, X[train], y[train]),
             params,
             seed=child_seed(seed, "cv", target, group, fold_index),
         )
@@ -256,8 +260,9 @@ def evaluate_all(
     differences between groups are not confounded by fold noise. Rank 1 is
     the lowest RMSE per target; exact ties break by canonical group order.
     Relative scores are 100 * (RMSE_S - RMSE_group) / RMSE_S when the
-    static-only group is present. Held-out predictions are kept for the
-    most inclusive group evaluated (STP when present).
+    static-only group is present, and NaN for a target whose RMSE_S is 0.
+    Held-out predictions are kept for the most inclusive group evaluated
+    (STP when present).
     """
     groups = tuple(groups)
     unknown = [g for g in groups if g not in GROUP_NAMES]
@@ -295,8 +300,11 @@ def evaluate_all(
 
     relative = None
     if "S" in groups:
+        # undefined (NaN) for a target that the static group fits exactly
         static = scores[:, groups.index("S")][:, None]
-        relative = 100.0 * (static - scores) / static
+        relative = np.full_like(scores, np.nan)
+        np.divide(100.0 * (static - scores), static, out=relative,
+                  where=static != 0.0)
 
     observed = {t: target_vector(records, t) for t in FEATURE_NAMES}
     return EvaluationReport(
@@ -320,7 +328,6 @@ def _importance_job(args):
         columns,
         predictor_matrix(records, columns),
         target_vector(records, target),
-        [r.catchment_id for r in records],
     )
     model = fit(data, params, seed=child_seed(seed, "imp", target))
     report = permutation_importance(model, data, seed=child_seed(seed, "perm", target))
@@ -404,20 +411,25 @@ def write_importance(path, reports: dict[str, ImportanceReport]) -> None:
                 fh.write(f"{target},{predictor},{_fmt(score)},{int(rank)}\n")
 
 
+def _json_rows(matrix: np.ndarray) -> list[list[float | None]]:
+    """Rows of floats for JSON, with NaN (undefined) as null."""
+    return [[None if np.isnan(v) else float(v) for v in row] for row in matrix]
+
+
 def write_evaluation(path, report: EvaluationReport) -> None:
     payload = {
         "targets": report.targets,
         "groups": report.groups,
-        "rmse": [[float(v) for v in row] for row in report.rmse],
+        "rmse": _json_rows(report.rmse),
         "ranks": [[int(v) for v in row] for row in report.ranks],
         "relative_scores": (
             None if report.relative_scores is None
-            else [[float(v) for v in row] for row in report.relative_scores]
+            else _json_rows(report.relative_scores)
         ),
         "prediction_group": report.prediction_group,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -75,10 +75,16 @@ def validate(series: TimeSeries) -> TimeSeries:
 
 
 def zscore(values: np.ndarray) -> np.ndarray:
-    """(x - mean) / sd with the sample (n-1) standard deviation."""
+    """(x - mean) / sd with the sample (n-1) standard deviation.
+
+    x is first scaled by the power of two that brings max|x| into [0.5, 1),
+    so the moments neither underflow nor overflow at extreme scales. The
+    scaling is exact, so it leaves the result of any other series unchanged.
+    """
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
         raise TooShort("standardization needs at least two points")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     sd = x.std(ddof=1)
     if sd == 0.0:
         raise ZeroVariance("constant series cannot be standardized")

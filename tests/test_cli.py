@@ -1,7 +1,10 @@
 import json
+import logging
+import shutil
 
 import pytest
 
+from flowregion import cli
 from flowregion.cli import main
 from flowregion.engine import FEATURE_NAMES
 
@@ -105,3 +108,74 @@ class TestImportance:
         assert first[0] == FEATURE_NAMES[0]
         ranks = {int(line.split(",")[3]) for line in lines[1:76]}
         assert ranks == set(range(1, 76))
+
+
+class TestFeatureTableReuse:
+    @pytest.fixture
+    def inputs(self, extracted):
+        data = extracted / "synthetic_data"
+        return ("--series-dir", str(data), "--attributes", str(data / "attributes.csv"),
+                "--start", "1994-01-01", "--end", "1996-12-31", "--workers", "1")
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        real = cli._load_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_dataset", counting)
+        return calls
+
+    def test_matching_fingerprint_reuses_table(self, tmp_path, inputs, loads):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        assert (out / cli.FINGERPRINT_FILE).exists()
+        assert run("correlate", "--out", str(out), *inputs) == 0
+        assert run("report", "--out", str(out), *inputs, "--workers", "2",
+                   "--seed", "7") == 0
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("changed", [("--trend-span", "801"),
+                                         ("--start", "1994-03-01")])
+    def test_changed_option_re_extracts(self, tmp_path, inputs, loads, caplog,
+                                        changed):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        before = (out / "features.csv").read_bytes()
+        with caplog.at_level(logging.INFO, logger="flowregion.cli"):
+            assert run("correlate", "--out", str(out), *inputs, *changed) == 0
+        assert len(loads) == 2
+        assert "options changed" in caplog.text
+        after = (out / "features.csv").read_bytes()
+        assert after != before
+        fresh = tmp_path / "fresh"
+        assert run("extract", "--out", str(fresh), *inputs, *changed) == 0
+        assert (fresh / "features.csv").read_bytes() == after
+        assert run("report", "--out", str(out), *inputs, *changed) == 0
+        assert len(loads) == 3  # the new stamp matches: no third extraction
+
+    def test_changed_input_file_re_extracts(self, tmp_path, extracted, loads):
+        data = tmp_path / "data"
+        shutil.copytree(extracted / "synthetic_data", data)
+        inputs = ("--series-dir", str(data), "--attributes", str(data / "attributes.csv"),
+                  "--start", "1994-01-01", "--end", "1996-12-31", "--workers", "1")
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        path = sorted(data.glob("*_streamflow.csv"))[0]
+        lines = path.read_text().splitlines()
+        day, value = lines[100].split(",")
+        lines[100] = f"{day},{float(value) * 2.0 + 1.0!r}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("correlate", "--out", str(out), *inputs) == 0
+        assert len(loads) == 2
+
+    def test_table_without_fingerprint_is_not_trusted(self, tmp_path, inputs, loads):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        (out / cli.FINGERPRINT_FILE).unlink()
+        assert run("correlate", "--out", str(out), *inputs) == 0
+        assert len(loads) == 2
+        assert (out / cli.FINGERPRINT_FILE).exists()

@@ -5,6 +5,7 @@ from flowregion.engine import (
     FEATURE_NAMES,
     FeatureConfig,
     FeatureRow,
+    INTEGER_FEATURES,
     FeatureVector,
     extract_batch,
     extract_features,
@@ -120,6 +121,22 @@ class TestExtractBatch:
         for row in rows:
             assert np.isfinite(row.features.values).all()
             assert row.features["nonlinearity"] == 0.0
+
+    def test_extreme_scales_extract_like_unit_scale(self):
+        x = white_noise(3650)
+        scales = (1.0, 1e-300, 1e-200, 1e200, 1e300)
+        tasks = [(f"c{i}", "streamflow", TimeSeries(x * s))
+                 for i, s in enumerate(scales)]
+        rows, exclusions = extract_batch(tasks, policy="drop")
+        assert not exclusions and len(rows) == len(scales)
+        unit = rows[0].features
+        for row in rows[1:]:
+            assert np.isfinite(row.features.values).all()
+            for name in FEATURE_NAMES:
+                if name in INTEGER_FEATURES:
+                    assert row.features[name] == unit[name], name
+                else:
+                    assert abs(row.features[name] - unit[name]) <= 1e-9, name
 
     def test_non_finite_feature_is_a_named_exclusion(self, monkeypatch):
         monkeypatch.setattr(distributional, "nonlinearity", lambda z: float("nan"))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from flowregion.errors import (
 from flowregion.forest import (
     DesignMatrix,
     ForestParams,
-    dump_model,
     fit,
     oob_error,
     permutation_importance,
@@ -225,10 +226,49 @@ class TestPermutationImportance:
         np.testing.assert_array_equal(ranks1, ranks2)
 
 
-def test_dump_model(tmp_path):
-    data = make_design(40, 2, 40, signal=lambda X, rng: X[:, 0])
-    model = fit(data, ForestParams(n_trees=3), seed=1)
-    path = tmp_path / "model.txt"
-    dump_model(model, path)
-    text = path.read_text()
-    assert "tree 0" in text and "x0" in text
+def _golden_design(n, p, seed):
+    """Normal columns plus integer-tied and zero-inflated ones, as in the
+    regionalization predictors."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[:, 1 % p] = rng.integers(0, 4, size=n)  # heavy ties
+    X[:, 2 % p] = np.where(rng.random(n) < 0.6, 0.0, rng.gamma(2.0, size=n))
+    if p > 3:
+        X[:, 3] = np.round(X[:, 3], 1)
+    y = X[:, 0] + 0.5 * X[:, 2 % p] + rng.normal(size=n)
+    return DesignMatrix([f"x{i}" for i in range(p)], X, y)
+
+
+# (n, p, design seed, trees, min_node_size, workers, fit seed)
+GOLDEN_CASES = (
+    (30, 5, 50, 25, 5, 1, 1),
+    (54, 75, 51, 12, 5, 1, 2),
+    (54, 20, 52, 12, 1, 2, 3),
+    (460, 75, 53, 6, 5, 1, 4),
+    (511, 19, 54, 6, 1, 2, 5),
+)
+
+#: Pinned from the forest before rank-keyed splits and batched importance;
+#: any change to tree growth, prediction or importance changes it.
+GOLDEN_FOREST_SHA256 = (
+    "9d19e3728964c1cb548478a2d7508d060e5d33fcde74a7930ed1c5f2ff93e0db"
+)
+
+
+def test_golden_forest_outputs_bit_identical():
+    digest = hashlib.sha256()
+    for n, p, dseed, trees, min_node, workers, seed in GOLDEN_CASES:
+        data = _golden_design(n, p, dseed)
+        params = ForestParams(n_trees=trees, min_node_size=min_node, workers=workers)
+        model = fit(data, params, seed=seed)
+        for tree in model.trees:
+            for arr in (tree.feature, tree.threshold, tree.left, tree.right,
+                        tree.value, tree.inbag, tree.oob):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(predict(model, data.X[:37]).tobytes())
+        digest.update(predict(model, data.X).tobytes())
+        digest.update(repr(oob_error(model, data)).encode())
+        report = permutation_importance(model, data, seed=seed + 100)
+        digest.update(report.scores.tobytes())
+        digest.update(report.ranks.tobytes())
+    assert digest.hexdigest() == GOLDEN_FOREST_SHA256

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from flowregion.dataio import STATIC_ATTRIBUTES, CatchmentRecord
 from flowregion.engine import FEATURE_NAMES, FeatureVector
 from flowregion.errors import BadK, ConstantVector, LengthMismatch
+from flowregion import regional
 from flowregion.forest import ForestParams
 from flowregion.regional import (
     ALL_PREDICTORS,
     GROUP_NAMES,
+    CrossValResult,
     average_ranks,
     correlation_matrix,
     cross_validate,
@@ -326,6 +330,33 @@ class TestEvaluateAll:
         ti = report.targets.index("entropy")
         gi = report.groups.index("TP")
         assert redo.rmse == report.rmse[ti, gi]
+
+    def test_exact_static_fit_gives_undefined_relative_scores(self, monkeypatch,
+                                                              tmp_path):
+        def exact_static_fit(records, target, group, params=None, seed=0,
+                             folds=None):
+            y = target_vector(records, target)
+            pred = y if (group, target) == ("S", "entropy") else y + 1.0
+            return CrossValResult(pred, rmse(pred, y))
+
+        monkeypatch.setattr(regional, "cross_validate", exact_static_fit)
+        records = synthetic_records(24, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_all(records, seed=19, k=3, groups=("S", "P"))
+        ti = report.targets.index("entropy")
+        assert report.rmse[ti, 0] == 0.0
+        assert np.isnan(report.relative_scores[ti]).all()
+        others = np.delete(report.relative_scores, ti, axis=0)
+        np.testing.assert_array_equal(others[:, 0], 0.0)
+        assert np.isfinite(others).all()
+        path = tmp_path / "evaluation.json"
+        write_evaluation(path, report)
+        assert "NaN" not in path.read_text()
+        payload = read_evaluation(path)
+        assert payload["relative_scores"][ti] == [None, None]
+        other = 1 if ti == 0 else 0
+        assert payload["relative_scores"][other] == report.relative_scores[other].tolist()
 
 
 class TestImportanceAll:

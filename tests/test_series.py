@@ -63,6 +63,16 @@ class TestStandardize:
         assert abs(z.values.mean()) <= 1e-10
         assert abs(z.values.std(ddof=1) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_scales(self, scale):
+        x = white_noise(3650)
+        np.testing.assert_allclose(zscore(x * scale), zscore(x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-1000, -3, 5, 1000])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        x = white_noise(999)
+        np.testing.assert_array_equal(zscore(np.ldexp(x, exponent)), zscore(x))
+
     @given(finite_lists, st.floats(min_value=0.01, max_value=100),
            st.floats(min_value=-50, max_value=50))
     def test_affine_invariance(self, xs, a, b):
