@@ -62,16 +62,18 @@ FINGERPRINT_FILE = "features.fingerprint.json"
 
 @dataclasses.dataclass
 class RunConfig:
+    """Every option of a run; the parser adds no default of its own."""
+
     command: str
-    series_dir: Path | None
-    attributes_file: Path | None
     output_dir: Path
+    series_dir: Path | None = None
+    attributes_file: Path | None = None
     seed: int = 42
     trees: int = 2000
     folds: int = 10
     period: int = 365
-    workers: int = 1
-    groups: tuple[str, ...] = GROUP_NAMES
+    workers: int = max(1, os.cpu_count() or 1)
+    groups: tuple[str, ...] | list[str] = GROUP_NAMES  # a list from --group
     policy: str = "drop"
     synthetic: bool = False
     synthetic_catchments: int = 60
@@ -128,102 +130,66 @@ class RunConfig:
     def forest_params(self) -> ForestParams:
         return ForestParams(n_trees=self.trees)
 
-    def echo(self) -> dict:
-        payload = dataclasses.asdict(self)
-        for key, value in payload.items():
-            if isinstance(value, (Path, datetime.date)):
-                payload[key] = str(value)
-            elif isinstance(value, tuple):
-                payload[key] = list(value)
-        return payload
+
+def _seasonal_span(text: str) -> int | str:
+    if text == PERIODIC:
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"--seasonal-span must be an integer or {PERIODIC!r}, got {text!r}"
+        ) from None
+
+
+def _entropy_spans(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"bad --entropy-spans {text!r}") from None
 
 
 def _parser() -> argparse.ArgumentParser:
+    # A ConfigError raised by a type function passes through argparse (it
+    # catches only ValueError and TypeError), so it exits 4, not 2.
     parser = argparse.ArgumentParser(
         prog="flowregion",
         description="Feature-based streamflow regionalization pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("extract", "extract the 28-feature table from daily series"),
-        ("correlate", "Spearman correlations of predictors vs streamflow features"),
-        ("importance", "random-forest permutation importance per streamflow feature"),
-        ("crossval", "cross-validated RMSE over the seven predictor groups"),
-        ("report", "distribution summaries of every feature"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--series-dir", type=Path, default=None)
-        cmd.add_argument("--attributes", type=Path, default=None)
-        cmd.add_argument("--out", type=Path, required=True)
-        cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--trees", type=int, default=2000)
-        cmd.add_argument("--folds", type=int, default=10)
-        cmd.add_argument("--period", type=int, default=365)
-        cmd.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
-        cmd.add_argument("--group", action="append", choices=GROUP_NAMES,
+    for name, (help_text, _) in COMMANDS.items():
+        # options left out stay out of the namespace: RunConfig holds the defaults
+        cmd = sub.add_parser(name, help=help_text,
+                             argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--series-dir", type=Path)
+        cmd.add_argument("--attributes", dest="attributes_file", type=Path)
+        cmd.add_argument("--out", dest="output_dir", type=Path, required=True)
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--trees", type=int)
+        cmd.add_argument("--folds", type=int)
+        cmd.add_argument("--period", type=int)
+        cmd.add_argument("--workers", type=int)
+        cmd.add_argument("--group", dest="groups", action="append", choices=GROUP_NAMES,
                          help="restrict crossval to named predictor groups")
         policy = cmd.add_mutually_exclusive_group()
         policy.add_argument("--strict", dest="policy", action="store_const",
                             const="strict", help="fail the run on any bad record")
         policy.add_argument("--drop", dest="policy", action="store_const",
                             const="drop", help="drop bad records with a logged reason")
-        cmd.set_defaults(policy="drop")
         cmd.add_argument("--synthetic", action="store_true",
                          help="generate and use the bundled synthetic dataset")
-        cmd.add_argument("--synthetic-catchments", type=int, default=60)
-        cmd.add_argument("--synthetic-years", type=int, default=10)
-        cmd.add_argument("--start", type=datetime.date.fromisoformat,
-                         default=datetime.date(1980, 1, 1))
-        cmd.add_argument("--end", type=datetime.date.fromisoformat,
-                         default=datetime.date(2013, 12, 31))
+        cmd.add_argument("--synthetic-catchments", type=int)
+        cmd.add_argument("--synthetic-years", type=int)
+        cmd.add_argument("--start", type=datetime.date.fromisoformat)
+        cmd.add_argument("--end", type=datetime.date.fromisoformat)
         cmd.add_argument("--log-transform", action="store_true",
                          help="apply base-10 log to the log_ attributes on read")
-        cmd.add_argument("--seasonal-span", default=PERIODIC)
-        cmd.add_argument("--trend-span", type=int, default=None)
-        cmd.add_argument("--lowpass-span", type=int, default=None)
-        cmd.add_argument("--entropy-spans", default="3,3",
+        cmd.add_argument("--seasonal-span", type=_seasonal_span)
+        cmd.add_argument("--trend-span", type=int)
+        cmd.add_argument("--lowpass-span", type=int)
+        cmd.add_argument("--entropy-spans", type=_entropy_spans,
                          help="comma-separated Daniell spans; empty disables smoothing")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seasonal = args.seasonal_span
-    if seasonal != PERIODIC:
-        try:
-            seasonal = int(seasonal)
-        except ValueError:
-            raise ConfigError(
-                f"--seasonal-span must be an integer or {PERIODIC!r}, got {seasonal!r}"
-            ) from None
-    try:
-        spans = tuple(int(s) for s in args.entropy_spans.split(",") if s.strip())
-    except ValueError:
-        raise ConfigError(f"bad --entropy-spans {args.entropy_spans!r}") from None
-    cfg = RunConfig(
-        command=args.command,
-        series_dir=args.series_dir,
-        attributes_file=args.attributes,
-        output_dir=args.out,
-        seed=args.seed,
-        trees=args.trees,
-        folds=args.folds,
-        period=args.period,
-        workers=args.workers,
-        groups=tuple(args.group) if args.group else GROUP_NAMES,
-        policy=args.policy,
-        synthetic=args.synthetic,
-        synthetic_catchments=args.synthetic_catchments,
-        synthetic_years=args.synthetic_years,
-        start=args.start,
-        end=args.end,
-        log_transform=args.log_transform,
-        seasonal_span=seasonal,
-        trend_span=args.trend_span,
-        lowpass_span=args.lowpass_span,
-        entropy_spans=spans,
-    )
-    cfg.validate()
-    return cfg
 
 
 def _synthetic_spec(cfg: RunConfig) -> synthetic.SyntheticSpec:
@@ -263,7 +229,7 @@ def _prepare_inputs(cfg: RunConfig) -> RunConfig:
 def _echo_config(cfg: RunConfig) -> None:
     with open(cfg.output_dir / "config.json", "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(cfg.echo(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -338,67 +304,58 @@ def _obtain_records(cfg: RunConfig):
     return _extract_records(_prepare_inputs(cfg))
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg)
-    _extract_records(_prepare_inputs(cfg))
-    return EXIT_OK
-
-
-def cmd_correlate(cfg: RunConfig) -> int:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg)
-    records = _obtain_records(cfg)
+def _correlate(cfg: RunConfig, records) -> None:
     write_correlations(cfg.output_dir / "correlations.csv",
                        correlation_matrix(records))
-    return EXIT_OK
 
 
-def cmd_importance(cfg: RunConfig) -> int:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg)
-    records = _obtain_records(cfg)
+def _importance(cfg: RunConfig, records) -> None:
     reports = importance_all(records, cfg.forest_params(), seed=cfg.seed,
                              workers=cfg.workers)
     write_importance(cfg.output_dir / "importance.csv", reports)
-    return EXIT_OK
 
 
-def cmd_crossval(cfg: RunConfig) -> int:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg)
-    records = _obtain_records(cfg)
+def _crossval(cfg: RunConfig, records) -> None:
     report = evaluate_all(records, cfg.forest_params(), seed=cfg.seed,
                           k=cfg.folds, groups=cfg.groups, workers=cfg.workers)
     write_evaluation(cfg.output_dir / "evaluation.json", report)
     write_pred_vs_obs(cfg.output_dir / "pred_vs_obs.csv", report)
-    return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def _report(cfg: RunConfig, records) -> None:
+    write_summaries(cfg.output_dir / "summaries.csv", feature_summary(records))
+
+
+#: name -> (help, analysis of the records); extract runs no analysis.
+COMMANDS = {
+    "extract": ("extract the 28-feature table from daily series", None),
+    "correlate": ("Spearman correlations of predictors vs streamflow features",
+                  _correlate),
+    "importance": ("random-forest permutation importance per streamflow feature",
+                   _importance),
+    "crossval": ("cross-validated RMSE over the seven predictor groups", _crossval),
+    "report": ("distribution summaries of every feature", _report),
+}
+
+
+def _run(cfg: RunConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg)
-    records = _obtain_records(cfg)
-    write_summaries(cfg.output_dir / "summaries.csv", feature_summary(records))
+    analysis = COMMANDS[cfg.command][1]
+    if analysis is None:
+        _extract_records(_prepare_inputs(cfg))
+    else:
+        analysis(cfg, _obtain_records(cfg))
     return EXIT_OK
-
-
-_COMMANDS = {
-    "extract": cmd_extract,
-    "correlate": cmd_correlate,
-    "importance": cmd_importance,
-    "crossval": cmd_crossval,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = _parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        cfg = RunConfig(**vars(_parser().parse_args(argv)))
+        cfg.validate()
+        return _run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

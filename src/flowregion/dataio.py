@@ -224,26 +224,10 @@ def load_dataset(
         policy=config.policy,
     )
     exclusions.extend(feature_exclusions)
-
-    by_catchment: dict[str, dict[str, FeatureVector]] = {}
-    for row in rows:
-        by_catchment.setdefault(row.catchment_id, {})[row.variable] = row.features
     failed = {e.catchment_id for e in exclusions}
-    records = []
-    for cid in sorted(by_catchment):
-        if cid in failed:
-            continue  # a catchment is all three vectors or nothing
-        vectors = by_catchment[cid]
-        if set(vectors) != set(ANALYSIS_VARIABLES):
-            continue
-        records.append(CatchmentRecord(
-            catchment_id=cid,
-            static=attributes[cid],
-            temperature=vectors["temperature"],
-            precipitation=vectors["precipitation"],
-            streamflow=vectors["streamflow"],
-        ))
-    return records, exclusions
+    # a catchment is all three vectors or nothing
+    kept = [row for row in rows if row.catchment_id not in failed]
+    return assemble_rows(kept, attributes), exclusions
 
 
 def assemble_rows(rows: list[FeatureRow], attributes) -> list[CatchmentRecord]:

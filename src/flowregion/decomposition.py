@@ -364,7 +364,7 @@ def stl_feature_set(
     linearity = float(q1 @ trend)
     curvature = float(q2 @ trend)
 
-    rem_acf = acf(remainder, 10).r
+    rem_acf = acf(remainder, 10)
     peak, trough = _shape_positions(seasonal, dec.period, shape_harmonics)
 
     return StlFeatureSet(

@@ -7,8 +7,6 @@ the spectral entropy of the periodogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LagTooLarge, NumericalSingularity, TooShort, ZeroVariance
@@ -21,22 +19,7 @@ ACF_FEATURES = (
 PACF_FEATURES = ("x_pacf5", "diff1x_pacf5", "diff2x_pacf5", "seas_pacf")
 
 
-@dataclass
-class AcfVector:
-    """Sample autocorrelations r_1..r_max_lag (biased, divide-by-n convention)."""
-
-    r: np.ndarray
-    n: int
-
-
-@dataclass
-class PacfVector:
-    """Sample partial autocorrelations phi_1..phi_max_lag."""
-
-    phi: np.ndarray
-
-
-def acf(x, max_lag: int) -> AcfVector:
+def acf(x, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation at lags 1..max_lag.
 
     r_k = sum_{t<=n-k} (x_t - m)(x_{t+k} - m) / sum_t (x_t - m)^2.
@@ -58,7 +41,7 @@ def acf(x, max_lag: int) -> AcfVector:
     for k in range(1, max_lag + 1):
         r[k - 1] = xc[: n - k] @ xc[k:]
     r /= denom
-    return AcfVector(r=r, n=n)
+    return r
 
 
 def pacf_from_acf(r: np.ndarray) -> np.ndarray:
@@ -81,9 +64,9 @@ def pacf_from_acf(r: np.ndarray) -> np.ndarray:
     return phi
 
 
-def pacf(x, max_lag: int) -> PacfVector:
+def pacf(x, max_lag: int) -> np.ndarray:
     """Sample PACF at lags 1..max_lag; phi_1 equals r_1 exactly."""
-    return PacfVector(phi=pacf_from_acf(acf(x, max_lag).r))
+    return pacf_from_acf(acf(x, max_lag))
 
 
 def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2) -> dict[str, float]:
@@ -98,11 +81,11 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2) -> dict[str, fl
     if n < 2 * p + 2:
         raise TooShort(f"need length >= {2 * p + 2} for the ACF feature set, got {n}")
     cap = min(n - 1, scan_factor * p)
-    r = acf(x, max(cap, p, 10)).r
+    r = acf(x, max(cap, p, 10))
     d1 = difference(x, 1)
     d2 = difference(x, 2)
-    r1 = acf(d1, 10).r
-    r2 = acf(d2, 10).r
+    r1 = acf(d1, 10)
+    r2 = acf(d2, 10)
     nonpos = np.flatnonzero(r[:cap] <= 0.0)
     firstzero = int(nonpos[0]) + 1 if nonpos.size else cap
     return {
@@ -121,9 +104,9 @@ def pacf_feature_set(z: StandardizedSeries) -> dict[str, float]:
     """The four partial-autocorrelation features of one standardized series."""
     x = z.values
     p = z.period
-    phi = pacf(x, p).phi
-    phi1 = pacf(difference(x, 1), 5).phi
-    phi2 = pacf(difference(x, 2), 5).phi
+    phi = pacf(x, p)
+    phi1 = pacf(difference(x, 1), 5)
+    phi2 = pacf(difference(x, 2), 5)
     return {
         "x_pacf5": float(phi[:5] @ phi[:5]),
         "diff1x_pacf5": float(phi1 @ phi1),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateRange, SingularDesign, TooShort
@@ -59,18 +57,12 @@ def flat_spots(z: StandardizedSeries, bins: int = 10) -> int:
     return int(np.diff(edges).max())
 
 
-@dataclass
-class TiledWindowStats:
-    """Per-window means and sample variances over non-overlapping tiles."""
-
-    window_means: np.ndarray
-    window_variances: np.ndarray
-    width: int
-
-
-def tiled_windows(z: StandardizedSeries, width: int | None = None) -> TiledWindowStats:
-    """Partition into floor(n/width) tiles of ``width`` points; the trailing
-    remainder is discarded. Default width is the seasonal period."""
+def tiled_windows(
+    z: StandardizedSeries, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile means and sample variances over floor(n/width) non-overlapping
+    tiles of ``width`` points; the trailing remainder is discarded. Default
+    width is the seasonal period."""
     x = z.values
     w = int(width) if width is not None else z.period
     if w < 1:
@@ -79,19 +71,15 @@ def tiled_windows(z: StandardizedSeries, width: int | None = None) -> TiledWindo
     if n_windows < 2:
         raise TooShort(f"need at least 2 tiles of width {w}, got length {x.size}")
     tiles = x[: n_windows * w].reshape(n_windows, w)
-    return TiledWindowStats(
-        window_means=tiles.mean(axis=1),
-        window_variances=tiles.var(axis=1, ddof=1),
-        width=w,
-    )
+    return tiles.mean(axis=1), tiles.var(axis=1, ddof=1)
 
 
 def tiled_stats(z: StandardizedSeries, width: int | None = None) -> dict[str, float]:
     """stability = variance of tile means; lumpiness = variance of tile variances."""
-    stats = tiled_windows(z, width)
+    means, variances = tiled_windows(z, width)
     return {
-        "stability": float(stats.window_means.var(ddof=1)),
-        "lumpiness": float(stats.window_variances.var(ddof=1)),
+        "stability": float(means.var(ddof=1)),
+        "lumpiness": float(variances.var(ddof=1)),
     }
 
 
@@ -127,9 +115,9 @@ def nonlinearity(z: StandardizedSeries) -> float:
         z1 * z1, z1 * z2, z2 * z2,
         z1 ** 3, z1 * z1 * z2, z1 * z2 * z2, z2 ** 3,
     ])
-    coef2, _, rank2, _ = np.linalg.lstsq(aux, resid, rcond=None)
-    if rank2 < aux.shape[1]:
-        raise SingularDesign("rank-deficient monomial design in the nonlinearity test")
+    # the fitted values, and so R^2, are unique even for a rank-deficient
+    # design, such as a series quantised to a few levels
+    coef2 = np.linalg.lstsq(aux, resid, rcond=None)[0]
     resid2 = resid - aux @ coef2
     r_squared = 1.0 - float(resid2 @ resid2) / ssr0
     return float(max(0.0, 10.0 * r_squared))

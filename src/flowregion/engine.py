@@ -141,10 +141,38 @@ class Exclusion:
     reason: str
 
 
-def _extract_task(args):
-    catchment_id, variable, series, cfg = args
+_worker_job = None  # (fn, shared), set once in each pool worker by _init_worker
+
+
+def _init_worker(fn, shared):
+    global _worker_job
+    _worker_job = (fn, shared)
+
+
+def _run_item(item):
+    fn, shared = _worker_job
+    return fn(shared, item)
+
+
+def parallel_map(fn, items, workers: int, shared=None) -> list:
+    """``[fn(shared, item) for item in items]``, spread over ``workers`` processes.
+
+    ``fn`` must be a module-level function. ``shared`` reaches each worker once,
+    through the pool initializer, instead of once per item. Results keep the
+    order of ``items``, so they do not depend on the worker count.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(shared, item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_item, items))
+
+
+def _extract_task(config, task):
+    catchment_id, variable, series = task
     try:
-        return catchment_id, variable, extract_features(series, cfg), None
+        return catchment_id, variable, extract_features(series, config), None
     except ExtractionFailed as exc:
         cause = exc.cause if exc.cause is not None else exc
         reason = f"{type(cause).__name__} in {exc.feature}: {cause}"
@@ -168,12 +196,7 @@ def extract_batch(
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown batch policy {policy!r}")
     ordered = sorted(tasks, key=lambda t: (t[0], t[1]))
-    payload = [(cid, var, series, config) for cid, var, series in ordered]
-    if workers > 1 and len(payload) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_extract_task, payload, chunksize=4))
-    else:
-        results = [_extract_task(item) for item in payload]
+    results = parallel_map(_extract_task, ordered, workers, shared=config)
     rows: list[FeatureRow] = []
     exclusions: list[Exclusion] = []
     for cid, var, features, failure in results:

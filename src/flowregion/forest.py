@@ -4,8 +4,8 @@ Trees are grown on bootstrap samples with exhaustive variance-reduction splits
 over ``mtry`` candidate predictors per node; candidate thresholds are the
 midpoints between consecutive distinct sorted values. Equal-gain ties prefer
 the lower predictor index, then the lower threshold. Every stochastic step
-draws from a substream keyed on (seed, tree index), so results are
-bit-identical regardless of worker count.
+draws from a substream keyed on (seed, tree index), so each tree is
+bit-identical whatever was grown before it.
 
 Each node sorts integer keys instead of floats. Once per fit every value is
 replaced by its dense rank within its column, shifted into the high 32 bits;
@@ -27,7 +27,6 @@ permuted predictor through that copy's row permutation.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class ForestParams:
     n_trees: int = 2000
     mtry: int | None = None  # None -> max(1, p // 3)
     min_node_size: int = 5
-    workers: int = 1
 
 
 @dataclass
@@ -214,15 +212,6 @@ def _grow_tree(X, keys, y, mtry, min_node_size, rng, size_cache):
     )
 
 
-def _grow_range(X, keys, y, mtry, min_node_size, seed, start, stop):
-    size_cache: dict = {}
-    return [
-        _grow_tree(X, keys, y, mtry, min_node_size,
-                   substream(seed, _TREE_STREAM, t), size_cache)
-        for t in range(start, stop)
-    ]
-
-
 def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
     """Fit a random forest; fully reproducible from (data, params, seed)."""
     params = params or ForestParams()
@@ -240,19 +229,12 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
         raise ValueError(f"mtry must be in [1, {p}], got {mtry}")
 
     keys = _rank_keys(data.X)
-    if params.workers > 1 and params.n_trees > 1:
-        bounds = np.linspace(0, params.n_trees, params.workers + 1).astype(int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=params.workers) as pool:
-            futures = [
-                pool.submit(_grow_range, data.X, keys, data.y, mtry,
-                            params.min_node_size, seed, a, b)
-                for a, b in chunks
-            ]
-            trees = [tree for fut in futures for tree in fut.result()]
-    else:
-        trees = _grow_range(data.X, keys, data.y, mtry, params.min_node_size,
-                            seed, 0, params.n_trees)
+    size_cache: dict = {}
+    trees = [
+        _grow_tree(data.X, keys, data.y, mtry, params.min_node_size,
+                   substream(seed, _TREE_STREAM, t), size_cache)
+        for t in range(params.n_trees)
+    ]
     return ForestModel(trees=trees, columns=list(data.columns), params=params,
                        seed=seed, n_rows=n)
 

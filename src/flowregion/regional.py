@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import ANALYSIS_VARIABLES, STATIC_ATTRIBUTES, CatchmentRecord
-from .engine import FEATURE_NAMES
+from .engine import FEATURE_NAMES, parallel_map
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
 from .forest import (
     DesignMatrix,
@@ -236,8 +235,9 @@ class EvaluationReport:
     prediction_group: str | None
 
 
-def _cv_job(args):
-    records, target, group, params, seed, folds = args
+def _cv_job(shared, pair):
+    records, params, seed, folds = shared
+    target, group = pair
     try:
         result = cross_validate(records, target, group, params=params,
                                 seed=seed, folds=folds)
@@ -271,16 +271,9 @@ def evaluate_all(
     if len(records) < 2 * k:
         raise BadK(f"need at least {2 * k} records for k={k}")
     folds = kfold_split(len(records), k, child_seed(seed, "folds"))
-    jobs = [
-        (records, target, group, params, seed, folds)
-        for target in FEATURE_NAMES
-        for group in groups
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cv_job, jobs, chunksize=1))
-    else:
-        outcomes = [_cv_job(job) for job in jobs]
+    pairs = [(target, group) for target in FEATURE_NAMES for group in groups]
+    outcomes = parallel_map(_cv_job, pairs, workers,
+                            shared=(records, params, seed, folds))
 
     scores = np.empty((len(FEATURE_NAMES), len(groups)))
     prediction_group = "STP" if "STP" in groups else None
@@ -321,8 +314,8 @@ def evaluate_all(
     )
 
 
-def _importance_job(args):
-    records, target, params, seed = args
+def _importance_job(shared, target):
+    records, params, seed = shared
     columns = list(ALL_PREDICTORS)
     data = DesignMatrix(
         columns,
@@ -341,13 +334,8 @@ def importance_all(
     workers: int = 1,
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
-    jobs = [(records, target, params, seed) for target in FEATURE_NAMES]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_importance_job, jobs, chunksize=1))
-    else:
-        outcomes = [_importance_job(job) for job in jobs]
-    return dict(outcomes)
+    return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
+                             shared=(records, params, seed)))
 
 
 # -- distribution summaries ---------------------------------------------------

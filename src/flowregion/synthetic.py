@@ -69,7 +69,7 @@ def catchment_series(rng, spec: SyntheticSpec) -> dict[str, np.ndarray]:
     # precipitation series and drive the streamflow seasonal amplitude
     standardized = zscore(precipitation)
     entropy = spectral_entropy(standardized)
-    r = acf(standardized, 10).r
+    r = acf(standardized, 10)
     z_entropy = (_ENTROPY_CENTER - entropy) / _ENTROPY_SCALE
     z_acf10 = (float(r @ r) - _ACF10_CENTER) / _ACF10_SCALE
     amp_q = np.clip(1.35 + 0.33 * z_entropy + 0.33 * z_acf10

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import shutil
@@ -53,6 +54,11 @@ class TestExtract:
 
     def test_missing_inputs_without_synthetic_exits_4(self, tmp_path):
         assert run("extract", "--out", str(tmp_path / "o")) == 4
+
+    @pytest.mark.parametrize("bad", [("--seasonal-span", "wide"),
+                                     ("--entropy-spans", "3,x")])
+    def test_bad_span_exits_4(self, tmp_path, bad):
+        assert run("extract", "--out", str(tmp_path / "o"), *SMALL_SYNTH, *bad) == 4
 
 
 class TestCorrelate:
@@ -179,3 +185,29 @@ class TestFeatureTableReuse:
         assert run("correlate", "--out", str(out), *inputs) == 0
         assert len(loads) == 2
         assert (out / cli.FINGERPRINT_FILE).exists()
+
+
+COMMANDS = ("extract", "correlate", "importance", "crossval", "report")
+OUTPUT_FILES = ("features.csv", "exclusions.csv", "correlations.csv",
+                "importance.csv", "evaluation.json", "pred_vs_obs.csv",
+                "summaries.csv", "config.json", "features.fingerprint.json")
+#: sha256 over every output file of the five commands, run in order into one
+#: relative --out; config.json records the worker count, so each count has one.
+GOLDEN_PIPELINE_SHA256 = {
+    1: "e45784776b922d64d362ec51b1692dee03471809e0cd7b9d06039f301bd45734",
+    2: "35ca11485e32e70a6574f41cfb605eb7cbc09206035a386a94b40df9ffec8511",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_outputs_match_golden(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)  # config.json then records no absolute path
+    for command in COMMANDS:
+        assert run(command, "--out", "out", "--synthetic", "--synthetic-catchments",
+                   "16", "--synthetic-years", "3", "--trees", "20", "--folds", "4",
+                   "--workers", str(workers)) == 0
+    digest = hashlib.sha256()
+    for name in OUTPUT_FILES:
+        digest.update(f"\0{name}\0".encode())
+        digest.update((tmp_path / "out" / name).read_bytes())
+    assert digest.hexdigest() == GOLDEN_PIPELINE_SHA256[workers]

@@ -30,24 +30,24 @@ def yule_walker_pacf(r):
 class TestAcf:
     def test_alternating_closed_form(self):
         x = np.tile([1.0, -1.0], 5)  # n = 10
-        r = acf(x, 1).r
+        r = acf(x, 1)
         assert r[0] == pytest.approx(-0.9, abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         x = rng.normal(size=200)
-        r = acf(x, 12).r
+        r = acf(x, 12)
         xc = x - x.mean()
         for k in range(1, 13):
             expected = (xc[:-k] @ xc[k:]) / (xc @ xc)
             assert r[k - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_white_noise_lag1_small(self):
-        r = acf(white_noise(5000, seed=3), 1).r
+        r = acf(white_noise(5000, seed=3), 1)
         assert abs(r[0]) <= 0.05
 
     def test_bounds_and_errors(self, rng):
         x = rng.normal(size=50)
-        assert np.all(np.abs(acf(x, 30).r) <= 1.0)
+        assert np.all(np.abs(acf(x, 30)) <= 1.0)
         with pytest.raises(LagTooLarge):
             acf(x, 50)
         with pytest.raises(ZeroVariance):
@@ -55,30 +55,30 @@ class TestAcf:
 
     def test_time_reversal_invariance(self, rng):
         x = rng.normal(size=120)
-        np.testing.assert_allclose(acf(x, 20).r, acf(x[::-1], 20).r, atol=1e-10)
+        np.testing.assert_allclose(acf(x, 20), acf(x[::-1], 20), atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.01, max_value=50),
            st.floats(min_value=-20, max_value=20))
     @settings(max_examples=25)
     def test_shift_scale_invariance(self, seed, a, b):
         x = np.random.default_rng(seed).normal(size=80)
-        np.testing.assert_allclose(acf(a * x + b, 10).r, acf(x, 10).r, atol=1e-9)
+        np.testing.assert_allclose(acf(a * x + b, 10), acf(x, 10), atol=1e-9)
 
 
 class TestPacf:
     def test_base_case_equals_acf(self, rng):
         x = rng.normal(size=300)
-        assert pacf(x, 8).phi[0] == acf(x, 8).r[0]
+        assert pacf(x, 8)[0] == acf(x, 8)[0]
 
     def test_ar1_theoretical_shape(self):
-        phi = pacf(ar1(5000, 0.8, seed=11), 5).phi
+        phi = pacf(ar1(5000, 0.8, seed=11), 5)
         assert phi[0] == pytest.approx(0.8, abs=0.03)
         assert np.all(np.abs(phi[1:]) <= 0.05)
 
     def test_matches_yule_walker_oracle(self, rng):
         for trial in range(30):
             x = rng.normal(size=rng.integers(40, 200))
-            r = acf(x, 20).r
+            r = acf(x, 20)
             np.testing.assert_allclose(
                 pacf_from_acf(r), yule_walker_pacf(r), atol=1e-8
             )
@@ -136,7 +136,7 @@ class TestPacfFeatureSet:
         x = rng.normal(size=1200)
         z = standardized(x, period=365)
         feats = pacf_feature_set(z)
-        r1 = acf(z.values, 1).r[0]
+        r1 = acf(z.values, 1)[0]
         assert feats["x_pacf5"] >= r1**2 - 1e-12
 
 

@@ -26,6 +26,22 @@ def brute_force_crossings(x):
     return count
 
 
+def projected_nonlinearity(x):
+    """10 * R^2 of the auxiliary fit, by explicit pseudo-inverse projections.
+
+    The cutoff sits far above rounding: a rank-deficient design keeps singular
+    values near 1e-15, which pinv's default cutoff can count as rank.
+    """
+    y, z1, z2 = x[2:], x[1:-1], x[:-2]
+    ones = np.ones_like(y)
+    linear = np.column_stack([ones, z1, z2])
+    resid = y - linear @ (np.linalg.pinv(linear, rcond=1e-10) @ y)
+    aux = np.column_stack([ones, z1, z2, z1 * z1, z1 * z2, z2 * z2,
+                           z1 ** 3, z1 * z1 * z2, z1 * z2 * z2, z2 ** 3])
+    resid2 = resid - aux @ (np.linalg.pinv(aux, rcond=1e-10) @ resid)
+    return 10.0 * (1.0 - (resid2 @ resid2) / (resid @ resid))
+
+
 def brute_force_longest_run(labels):
     best, run = 1, 1
     for a, b in zip(labels[:-1], labels[1:]):
@@ -134,8 +150,8 @@ class TestTiledStats:
         assert stats["stability"] >= 0 and stats["lumpiness"] >= 0
 
     def test_window_bookkeeping(self, rng):
-        stats = tiled_windows(StandardizedSeries(rng.normal(size=107)), width=20)
-        assert stats.window_means.size == 5
+        means, _ = tiled_windows(StandardizedSeries(rng.normal(size=107)), width=20)
+        assert means.size == 5
         with pytest.raises(TooShort):
             tiled_windows(StandardizedSeries(rng.normal(size=30)), width=20)
 
@@ -172,10 +188,13 @@ class TestNonlinearity:
     def test_singular_design(self, rng):
         with pytest.raises(SingularDesign):
             nonlinearity(StandardizedSeries(np.zeros(50)))
-        # rank-deficient designs that the linear terms do not fit exactly
-        binary = (rng.random(400) < 0.5).astype(float)
-        with pytest.raises(SingularDesign, match="monomial"):
-            nonlinearity(StandardizedSeries(zscore(binary)))
+        # a two-level series spans only 1, z1, z2 and z1*z2 of the ten
+        # monomials; R^2 is that of the projection onto their span
+        binary = zscore((rng.random(400) < 0.5).astype(float))
+        value = nonlinearity(StandardizedSeries(binary))
+        assert np.isfinite(value) and 0.0 <= value <= 10.0
+        assert value == pytest.approx(projected_nonlinearity(binary), rel=0, abs=1e-12)
+        # collinear lag regressors that the linear terms do not fit exactly
         late_step = np.concatenate([np.zeros(398), [1.0, 3.0]])
         with pytest.raises(SingularDesign, match="collinear"):
             nonlinearity(StandardizedSeries(zscore(late_step)))

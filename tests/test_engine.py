@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowregion import errors
 from flowregion.engine import (
     FEATURE_NAMES,
     FeatureConfig,
@@ -16,7 +19,7 @@ from flowregion import distributional
 from flowregion.errors import ExtractionFailed, NonFinite
 from flowregion.series import TimeSeries
 
-from conftest import daily_series, sine, white_noise
+from conftest import ar1, daily_series, sine, white_noise
 
 
 class TestFeatureVector:
@@ -122,6 +125,22 @@ class TestExtractBatch:
             assert np.isfinite(row.features.values).all()
             assert row.features["nonlinearity"] == 0.0
 
+    def test_quantised_temperature_kept_under_drop_policy(self):
+        # whole-degree rounding leaves five levels: the cubic nonlinearity
+        # design is rank-deficient, which once dropped the series
+        t = np.arange(3650)
+        tasks = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = np.round(0.1 * rng.gamma(2.0, size=3650)
+                         + 1.67 * np.cos(2.0 * np.pi * t / 365) + 20.3)
+            tasks.append((f"c{seed:02d}", "temperature",
+                          TimeSeries(x, variable_kind="temperature")))
+        rows, exclusions = extract_batch(tasks, policy="drop")
+        assert not exclusions and len(rows) == 6
+        for row in rows:
+            assert 0.0 <= row.features["nonlinearity"] <= 10.0
+
     def test_extreme_scales_extract_like_unit_scale(self):
         x = white_noise(3650)
         scales = (1.0, 1e-300, 1e-200, 1e200, 1e300)
@@ -158,6 +177,59 @@ class TestExtractBatch:
         for a, b in zip(serial, parallel):
             assert (a.catchment_id, a.variable) == (b.catchment_id, b.variable)
             np.testing.assert_array_equal(a.features.values, b.features.values)
+
+
+DAYS = 3650
+DAY = np.arange(DAYS)
+
+
+def _degenerate_series(family, seed, knob):
+    """One legal but degenerate 3,650-day series; ``knob`` in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    cycle = np.cos(2.0 * np.pi * DAY / 365)
+    if family == "quantised":  # a temperature rounded to whole degrees
+        return np.round((0.5 + 4.0 * knob) * (0.1 * rng.gamma(2.0, size=DAYS)
+                                              + 1.67 * cycle) + 20.3)
+    if family == "binary":
+        return (rng.random(DAYS) < 0.02 + 0.96 * knob).astype(float)
+    if family == "intermittent":  # zero-inflated flow, wetter in one season
+        wet = rng.random(DAYS) < knob * (0.5 + 0.5 * cycle)
+        return np.where(wet, rng.gamma(0.5, size=DAYS), 0.0)
+    if family == "sine":
+        return (0.1 + 10.0 * knob) * np.sin(2.0 * np.pi * DAY / 365 + seed % 7)
+    return (knob - 0.5) * DAY + seed % 100  # an exact ramp
+
+
+class TestExtractionProperties:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 3.0),
+           phi=st.floats(-0.5, 0.9), shift=st.floats(-100.0, 100.0))
+    def test_features_unchanged_under_affine_maps(self, seed, amplitude, phi, shift):
+        # b moves with a: an offset far above a * x would round x away
+        x = amplitude * np.sin(2.0 * np.pi * DAY / 365) + ar1(DAYS, phi, seed=seed)
+        base = extract_features(TimeSeries(x))
+        for a in (1e-300, 1e-3, 1e3, 1e300):
+            moved = extract_features(TimeSeries(a * x + a * shift))
+            for name in FEATURE_NAMES:
+                if name in INTEGER_FEATURES:
+                    assert moved[name] == base[name], (a, name)
+                else:
+                    assert abs(moved[name] - base[name]) <= 1e-9, (a, name)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), knob=st.floats(0.0, 1.0))
+    def test_degenerate_series_give_vector_or_named_exclusion(self, seed, knob):
+        families = ("quantised", "binary", "intermittent", "sine", "ramp")
+        tasks = [(f, "streamflow", TimeSeries(_degenerate_series(f, seed, knob)))
+                 for f in families]
+        rows, exclusions = extract_batch(tasks, policy="drop")
+        done = [r.catchment_id for r in rows] + [e.catchment_id for e in exclusions]
+        assert sorted(done) == sorted(families)
+        for row in rows:
+            assert np.isfinite(row.features.values).all()
+        for exc in exclusions:
+            name = exc.reason.split()[0].rstrip(":")
+            assert issubclass(getattr(errors, name), errors.FlowRegionError), exc.reason
 
 
 class TestFeatureTableIO:

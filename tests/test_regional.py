@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowregion.dataio import STATIC_ATTRIBUTES, CatchmentRecord
 from flowregion.engine import FEATURE_NAMES, FeatureVector
-from flowregion.errors import BadK, ConstantVector, LengthMismatch
+from flowregion.errors import BadK, ConstantVector, DegenerateTarget, LengthMismatch
 from flowregion import regional
 from flowregion.forest import ForestParams
 from flowregion.regional import (
@@ -320,6 +320,16 @@ class TestEvaluateAll:
                          groups=("S", "STP"), workers=2)
         np.testing.assert_array_equal(a.rmse, b.rmse)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_pair_is_named(self, workers):
+        def link(values, precipitation, rng):
+            values[FEATURE_NAMES.index("entropy")] = 0.25
+
+        records = synthetic_records(24, seed=24, link=link)
+        with pytest.raises(DegenerateTarget, match=r"\(entropy, S\): target is constant"):
+            evaluate_all(records, ForestParams(n_trees=5), seed=25, k=3,
+                         groups=("S", "P"), workers=workers)
+
     def test_fold_reuse_across_pairs(self, report):
         # the partition object recorded in the report is used for every pair;
         # rerunning one pair with those folds reproduces its RMSE exactly
@@ -384,6 +394,15 @@ class TestImportanceAll:
         b = importance_all(records, ForestParams(n_trees=10), seed=21)
         for t in FEATURE_NAMES:
             np.testing.assert_array_equal(a[t].scores, b[t].scores)
+
+    def test_worker_count_is_bitwise_irrelevant(self):
+        records = synthetic_records(24, seed=26)
+        serial = importance_all(records, ForestParams(n_trees=10), seed=27, workers=1)
+        parallel = importance_all(records, ForestParams(n_trees=10), seed=27, workers=2)
+        assert list(serial) == list(parallel)
+        for t in FEATURE_NAMES:
+            np.testing.assert_array_equal(serial[t].scores, parallel[t].scores)
+            np.testing.assert_array_equal(serial[t].ranks, parallel[t].ranks)
 
 
 class TestFeatureSummary:
