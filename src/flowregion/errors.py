@@ -80,6 +80,14 @@ class NoOobCoverage(FlowRegionError):
     """No row has out-of-bag predictions."""
 
 
+class KernelBuildError(FlowRegionError):
+    """The compiled tree kernel could not be built; carries the compiler's stderr."""
+
+    def __init__(self, message, stderr=""):
+        self.stderr = stderr
+        super().__init__(f"{message}\n{stderr}" if stderr else message)
+
+
 # -- regionalization ---------------------------------------------------------
 
 class ConstantVector(FlowRegionError):

@@ -7,11 +7,17 @@ the lower predictor index, then the lower threshold. Every stochastic step
 draws from a substream keyed on (seed, tree index), so each tree is
 bit-identical whatever was grown before it.
 
-Each node sorts integer keys instead of floats. Once per fit every value is
-replaced by its dense rank within its column, shifted into the high 32 bits;
-a node ORs each row's position into the low bits. The keys are unique, so any
-sort of them gives the stable order of the values: the low word is the sort
-order and equal high words mark tied values.
+Growth and descent run in a compiled kernel (``_tree.c``, built on first use
+by :mod:`flowregion.native`). Python draws each tree's bootstrap sample and
+its per-node candidate orders from the tree's generator; the kernel grows the
+tree depth-first, left child first. At each node it sorts the node's rows by
+each candidate's column ranks (the dense rank of every value within its
+column, computed once per design matrix): a stable sort, so tied values keep
+the node's row order, and the children inherit the split predictor's order.
+Only the order and equality of ranks matter, so the ranks of a larger matrix
+restricted to a subset of its rows serve that subset. The split arithmetic
+follows numpy step for step, so the trees are bit-identical to a numpy grower
+(kept in the tests as the reference).
 
 Permutation importance follows the unnormalized per-tree scheme: for each
 tree the out-of-bag mean square error is compared against the error after
@@ -26,11 +32,14 @@ permuted predictor through that copy's row permutation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .errors import (
     ColumnMismatch,
     DegenerateTarget,
@@ -48,15 +57,21 @@ _PERM_STREAM = "perm"
 
 @dataclass
 class DesignMatrix:
-    """Observations x named predictors plus an aligned target vector."""
+    """Observations x named predictors plus an aligned target vector.
+
+    ``ranks`` (predictors x rows) holds integer keys whose order and equality
+    within each column are those of X's values; the dense ranks of X when not
+    given. The ranks of a larger matrix, restricted to these rows, also serve.
+    """
 
     columns: list[str]
     X: np.ndarray
     y: np.ndarray
+    ranks: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("X must be two-dimensional")
         if self.X.shape[0] != self.y.size:
@@ -69,6 +84,11 @@ class DesignMatrix:
             raise ValueError("need at least two rows")
         if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
             raise ValueError("design matrix contains non-finite entries")
+        if self.ranks is None:
+            self.ranks = _dense_ranks(self.X)
+        self.ranks = np.ascontiguousarray(self.ranks, dtype=np.uint32)
+        if self.ranks.shape != self.X.T.shape:
+            raise ValueError("ranks must be laid out predictors x rows")
 
 
 @dataclass
@@ -105,110 +125,65 @@ class ImportanceReport:
     ranks: np.ndarray  # permutation of 1..p, 1 = most important
 
 
-_LOW_WORD = np.uint64(0xFFFFFFFF)
-_HIGH_SHIFT = np.uint64(32)
-
-
-def _rank_keys(X: np.ndarray) -> np.ndarray:
-    """Dense rank of every value within its column, shifted into the high word.
-
-    Laid out predictors x rows, so a node gathers its candidates' keys as rows.
-    """
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column, laid out predictors x rows."""
     cols = X.T
     order = cols.argsort(axis=1)
     ordered = np.take_along_axis(cols, order, axis=1)
-    steps = np.zeros(cols.shape, dtype=np.uint64)
+    steps = np.zeros(cols.shape, dtype=np.uint32)
     steps[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    keys = np.empty_like(steps)
-    np.put_along_axis(keys, order, steps.cumsum(axis=1) << _HIGH_SHIFT, axis=1)
-    return keys
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=1, dtype=np.uint32), axis=1)
+    return ranks
 
 
-def _inverse_sizes(cache: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
-    inv = cache.get(m)
-    if inv is None:
-        sizes = np.arange(1, m, dtype=np.float64)
-        inv = (1.0 / sizes, 1.0 / sizes[::-1])
-        cache[m] = inv
-    return inv
+@functools.lru_cache(maxsize=None)
+def _kernel() -> ctypes.CDLL:
+    lib = native.load()
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.grow_tree.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, i64, i64,
+                              ptr, ptr, ptr, ptr, ptr]
+    lib.grow_tree.restype = i64
+    lib.descend.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr]
+    lib.descend.restype = None
+    return lib
 
 
-def _grow_tree(X, keys, y, mtry, min_node_size, rng, size_cache):
+def _grow(X, ranks, y, mtry, min_node_size, rng) -> RegressionTree:
+    """One tree on a bootstrap sample; ``X``, ``ranks`` and ``y`` must be
+    contiguous float64, uint32 and float64 arrays of matching shapes."""
     n, p = X.shape
     inbag = rng.integers(0, n, size=n)
     oob = np.flatnonzero(np.bincount(inbag, minlength=n) == 0)
-    Xb = X[inbag]
-    kb = keys[:, inbag]
-    yb = y[inbag]
-    positions = np.arange(n, dtype=np.uint64)
-
-    feature = [-1]
-    threshold = [np.nan]
-    left = [-1]
-    right = [-1]
-    value = [np.nan]
-
-    n_cand = min(mtry, p)
-    stack = [(0, np.arange(n))]
-    while stack:
-        node, rows = stack.pop()
-        ys = yb[rows]
-        m = rows.size
-        total = float(ys.sum())
-        if m < 2 * min_node_size or ys.max() == ys.min():
-            value[node] = total / m
-            continue
-        cand = rng.permutation(p)[:n_cand]
-        cand.sort()
-        # unique keys: any sort gives the stable order of the values, with
-        # ties ordered by position in rows
-        ks = kb[cand].take(rows, axis=1)
-        ks |= positions[:m]
-        ks.sort(axis=1)
-        order = (ks & _LOW_WORD).astype(np.intp)
-        ranks = ks >> _HIGH_SHIFT
-        csum = ys[order].cumsum(axis=1)
-        inv_left, inv_right = _inverse_sizes(size_cache, m)
-        s_left = csum[:, :-1]
-        s_right = total - s_left
-        gain = s_left * s_left * inv_left + s_right * s_right * inv_right
-        gain[ranks[:, 1:] == ranks[:, :-1]] = -np.inf
-        if min_node_size > 1:
-            gain[:, : min_node_size - 1] = -np.inf
-            gain[:, m - min_node_size :] = -np.inf
-        # candidates are rows, so the C order is feature-major: ties resolve
-        # to the lower predictor index, then the lower threshold
-        best = int(gain.argmax())
-        j, i = divmod(best, m - 1)
-        if gain[j, i] == -np.inf:
-            value[node] = total / m
-            continue
-
-        # positions 0..i of the j-th sort order are exactly the rows <= thr
-        rows_sorted = rows[order[j]]
-        f = int(cand[j])
-        thr = 0.5 * (Xb[rows_sorted[i], f] + Xb[rows_sorted[i + 1], f])
-        left_idx = len(feature)
-        feature.extend((-1, -1))
-        threshold.extend((np.nan, np.nan))
-        left.extend((-1, -1))
-        right.extend((-1, -1))
-        value.extend((np.nan, np.nan))
-        feature[node] = f
-        threshold[node] = float(thr)
-        left[node] = left_idx
-        right[node] = left_idx + 1
-        stack.append((left_idx + 1, rows_sorted[i + 1 :]))
-        stack.append((left_idx, rows_sorted[: i + 1]))
-
+    size = 2 * n - 1
+    feature = np.empty(size, dtype=np.int32)
+    threshold = np.empty(size)
+    left = np.empty(size, dtype=np.int32)
+    right = np.empty(size, dtype=np.int32)
+    value = np.empty(size)
+    # one row of candidate orders per node that tries to split; K rows drawn
+    # at once are the rows of, and leave the generator as, K calls to
+    # rng.permutation(p). Every leaf keeps at least min_node_size rows and a
+    # leaf that tried to split twice that, so fewer than n // min_node_size
+    # nodes try.
+    draws = rng.permuted(np.tile(np.arange(p, dtype=np.int64), (n // min_node_size, 1)),
+                         axis=1)
+    count = _kernel().grow_tree(
+        X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n, p, inbag.ctypes.data,
+        draws.ctypes.data, len(draws), mtry, min_node_size, feature.ctypes.data,
+        threshold.ctypes.data, left.ctypes.data, right.ctypes.data, value.ctypes.data)
+    if count == -2:
+        raise MemoryError("tree kernel could not allocate its workspace")
+    if count < 0:
+        raise RuntimeError("tree kernel ran out of candidate draws")
     return RegressionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        inbag=inbag.astype(np.int64),
-        oob=oob.astype(np.int64),
+        feature=feature[:count].copy(),
+        threshold=threshold[:count].copy(),
+        left=left[:count].copy(),
+        right=right[:count].copy(),
+        value=value[:count].copy(),
+        inbag=inbag,
+        oob=oob,
     )
 
 
@@ -227,71 +202,41 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
     mtry = params.mtry if params.mtry is not None else max(1, p // 3)
     if not 1 <= mtry <= p:
         raise ValueError(f"mtry must be in [1, {p}], got {mtry}")
+    if params.min_node_size < 1:
+        raise ValueError(f"min_node_size must be at least 1, got {params.min_node_size}")
 
-    keys = _rank_keys(data.X)
-    size_cache: dict = {}
     trees = [
-        _grow_tree(data.X, keys, data.y, mtry, params.min_node_size,
-                   substream(seed, _TREE_STREAM, t), size_cache)
+        _grow(data.X, data.ranks, data.y, mtry, params.min_node_size,
+              substream(seed, _TREE_STREAM, t))
         for t in range(params.n_trees)
     ]
     return ForestModel(trees=trees, columns=list(data.columns), params=params,
                        seed=seed, n_rows=n)
 
 
-def _tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
-                  perms=None) -> np.ndarray:
-    """Leaf value reached by each row of X.
+def _descend(tree: RegressionTree, X: np.ndarray, cols=None,
+             perms=None) -> np.ndarray:
+    """Leaf value reached by each row of the contiguous float64 array X.
 
     Given k predictor indices ``cols`` and a k x n array ``perms`` of row
     permutations, predicts k permuted copies of X in one descent instead:
     row r of copy c reads predictor ``cols[c]`` from row ``perms[c, r]`` and
     every other predictor from row r. The result is then k x n.
     """
-    n = X.shape[0]
-    feature, threshold = tree.feature, tree.threshold
-    left, right, value = tree.left, tree.right, tree.value
-    if n == 0:
-        return np.empty(0)
-    if n < 64 and cols is None:
-        # scalar descent beats vectorized traversal for small batches
-        lists = getattr(tree, "_lists", None)
-        if lists is None:
-            lists = (feature.tolist(), threshold.tolist(), left.tolist(),
-                     right.tolist(), value.tolist())
-            tree._lists = lists
-        fl, tl, ll, rl, vl = lists
-        out = np.empty(n)
-        for i in range(n):
-            row = X[i]
-            node = 0
-            f = fl[node]
-            while f >= 0:
-                node = ll[node] if row[f] <= tl[node] else rl[node]
-                f = fl[node]
-            out[i] = vl[node]
-        return out
-    # rows are flat offsets into X: a 1-d take is cheaper than X[rows, cols]
-    p = X.shape[1]
-    flat = X.ravel()
-    row_off = np.arange(0, n * p, p)
-    if cols is not None:
-        copy_col = np.repeat(cols, n)
-        perm_off = perms.ravel() * p
-        row_off = np.tile(row_off, len(cols))
-    nodes = np.zeros(row_off.size, dtype=np.int64)
-    active = np.flatnonzero(feature[nodes] >= 0)
-    while active.size:
-        cur = nodes[active]
-        f = feature[cur]
-        off = row_off[active]
-        if cols is not None:
-            off = np.where(f == copy_col[active], perm_off[active], off)
-        go_left = flat.take(off + f) <= threshold[cur]
-        nodes[active] = np.where(go_left, left[cur], right[cur])
-        active = active[feature[nodes[active]] >= 0]
-    out = value[nodes]
-    return out if cols is None else out.reshape(len(cols), n)
+    n, p = X.shape
+    k = 0 if cols is None else len(cols)
+    if k:
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        perms = np.ascontiguousarray(perms, dtype=np.int64)
+        if perms.shape != (k, n):
+            raise ValueError(f"perms must be {k} x {n}, got {perms.shape}")
+    out = np.empty((k, n) if k else n)
+    _kernel().descend(
+        tree.feature.ctypes.data, tree.threshold.ctypes.data, tree.left.ctypes.data,
+        tree.right.ctypes.data, tree.value.ctypes.data, X.ctypes.data, n, p,
+        cols.ctypes.data if k else None, perms.ctypes.data if k else None, k,
+        out.ctypes.data)
+    return out
 
 
 def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -304,7 +249,7 @@ def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
         )
     total = np.zeros(X.shape[0])
     for tree in model.trees:
-        total += _tree_predict(tree, X)
+        total += _descend(tree, X)
     return total / len(model.trees)
 
 
@@ -321,7 +266,7 @@ def oob_error(model: ForestModel, data: DesignMatrix) -> float:
     for tree in model.trees:
         if tree.oob.size == 0:
             continue
-        sums[tree.oob] += _tree_predict(tree, data.X[tree.oob])
+        sums[tree.oob] += _descend(tree, data.X[tree.oob])
         counts[tree.oob] += 1
     covered = counts > 0
     if not covered.any():
@@ -354,7 +299,7 @@ def permutation_importance(
         trees_used += 1
         Xo = data.X[o]
         yo = data.y[o]
-        base = _tree_predict(tree, Xo)
+        base = _descend(tree, Xo)
         mse0 = float((base - yo) @ (base - yo)) / o.size
         used = np.unique(tree.feature[tree.feature >= 0])
         if used.size == 0:
@@ -363,7 +308,7 @@ def permutation_importance(
             substream(seed, _PERM_STREAM, t, int(j)).permutation(o.size)
             for j in used
         ])
-        for j, pred in zip(used, _tree_predict(tree, Xo, used, perms)):
+        for j, pred in zip(used, _descend(tree, Xo, used, perms)):
             mse_j = float((pred - yo) @ (pred - yo)) / o.size
             diffs[j] += mse_j - mse0
     if trees_used == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,19 +203,20 @@ def cross_validate(
             raise BadK(f"need at least {2 * k} records for k={k}")
         folds = kfold_split(len(records), k, child_seed(seed, "folds"))
     columns = group_columns(group)
-    X = predictor_matrix(records, columns)
-    y = target_vector(records, target)
+    data = DesignMatrix(columns, predictor_matrix(records, columns),
+                        target_vector(records, target))
     predictions = np.empty(len(records))
     all_rows = np.arange(len(records))
     for fold_index, fold in enumerate(folds):
         train = np.setdiff1d(all_rows, fold, assume_unique=True)
+        # ranks restricted to the training rows keep their order and ties
         model = fit(
-            DesignMatrix(columns, X[train], y[train]),
+            DesignMatrix(columns, data.X[train], data.y[train], data.ranks[:, train]),
             params,
             seed=child_seed(seed, "cv", target, group, fold_index),
         )
-        predictions[fold] = predict(model, X[fold])
-    return CrossValResult(predictions=predictions, rmse=rmse(predictions, y))
+        predictions[fold] = predict(model, data.X[fold])
+    return CrossValResult(predictions=predictions, rmse=rmse(predictions, data.y))
 
 
 @dataclass
@@ -315,13 +316,8 @@ def evaluate_all(
 
 
 def _importance_job(shared, target):
-    records, params, seed = shared
-    columns = list(ALL_PREDICTORS)
-    data = DesignMatrix(
-        columns,
-        predictor_matrix(records, columns),
-        target_vector(records, target),
-    )
+    records, design, params, seed = shared
+    data = replace(design, y=target_vector(records, target))
     model = fit(data, params, seed=child_seed(seed, "imp", target))
     report = permutation_importance(model, data, seed=child_seed(seed, "perm", target))
     return target, report
@@ -334,8 +330,12 @@ def importance_all(
     workers: int = 1,
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
+    # one predictor matrix and one ranking serve every target
+    columns = list(ALL_PREDICTORS)
+    design = DesignMatrix(columns, predictor_matrix(records, columns),
+                          target_vector(records, FEATURE_NAMES[0]))
     return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
-                             shared=(records, params, seed)))
+                             shared=(records, design, params, seed)))
 
 
 # -- distribution summaries ---------------------------------------------------
