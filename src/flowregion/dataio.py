@@ -1,10 +1,12 @@
 """Dataset ingestion: daily series files plus the static-attributes table.
 
 Input layout: one delimited text file per (catchment, variable) named
-``<catchment_id>_<variable>.csv`` with header ``date,value`` and ISO dates,
-plus one attributes file with a ``catchment_id`` column and the 19 static
-attribute columns. Catchments lacking complete coverage of the configured
-window are dropped with a logged reason.
+``<catchment_id>_<variable>.csv`` with header ``date,value`` and one
+``YYYY-MM-DD,<value>`` line per day (other ISO 8601 date forms such as
+``YYYYMMDD`` or week dates are rejected), plus one attributes file with a
+``catchment_id`` column and the 19 static attribute columns. Catchments whose
+series files are missing, malformed or short of complete coverage of the
+configured window are dropped with a logged reason.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import datetime
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +26,10 @@ from .engine import (
     FeatureConfig,
     FeatureRow,
     FeatureVector,
-    extract_batch,
+    _extract_task,
+    check_policy,
+    collect_results,
+    parallel_map,
 )
 from .errors import IncompleteRecord, ParseError, UnknownAttribute
 from .series import TimeSeries
@@ -73,41 +79,126 @@ class CatchmentRecord:
         return getattr(self, variable)
 
 
+def _is_leap(year):
+    """Gregorian leap years; ``year`` is an int or an integer array."""
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+
+
+def _window_offsets(config: IngestConfig) -> np.ndarray:
+    """Day offsets from ``config.start`` of every calendar day of the window,
+    minus Feb 29 when leap days drop."""
+    start = config.start.toordinal()
+    keep = np.ones(max(0, config.end.toordinal() - start + 1), dtype=bool)
+    if config.drop_leap_days:
+        for year in range(config.start.year, config.end.year + 1):
+            if _is_leap(year):
+                offset = datetime.date(year, 2, 29).toordinal() - start
+                if 0 <= offset < keep.size:
+                    keep[offset] = False
+    return np.flatnonzero(keep)
+
+
 def expected_dates(config: IngestConfig) -> list[datetime.date]:
     """Every calendar day of the window, minus Feb 29 when leap days drop."""
-    days = []
-    day = config.start
-    one = datetime.timedelta(days=1)
-    while day <= config.end:
-        if not (config.drop_leap_days and day.month == 2 and day.day == 29):
-            days.append(day)
-        day += one
-    return days
+    return [config.start + datetime.timedelta(days=int(offset))
+            for offset in _window_offsets(config)]
 
 
-def read_series_file(path) -> dict[datetime.date, float]:
-    """Parse a ``date,value`` file into a date-indexed mapping."""
-    out: dict[datetime.date, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split(",")[:2] != ["date", "value"]:
-            raise ParseError(f"{path}:1: expected 'date,value' header, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two fields, got {line!r}")
-            try:
-                day = datetime.date.fromisoformat(parts[0])
-                value = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if day in out:
-                raise ParseError(f"{path}:{lineno}: duplicate date {parts[0]}")
-            out[day] = value
+#: What :func:`read_series_file` returns: one row per data line, in file order.
+SERIES_DTYPE = np.dtype([("day", np.int64), ("value", np.float64)])
+
+
+def read_series_file(path) -> np.ndarray:
+    """Parse a ``date,value`` file into a :data:`SERIES_DTYPE` array.
+
+    ``day`` is the proleptic Gregorian ordinal (``date.toordinal()``) of the
+    line's ``YYYY-MM-DD`` date and ``value`` is ``float`` of the rest of the
+    line. Lines may come in any order; blank lines are skipped. A file that
+    fails any check is scanned line by line for the :class:`ParseError` that
+    names its first bad line.
+    """
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {exc.reason}") from exc
+    header, _, body = text.partition("\n")
+    if header.split(",")[:2] != ["date", "value"]:
+        raise ParseError(f"{path}:1: expected 'date,value' header, got {header!r}")
+    out = _parse_body(np.frombuffer(data, dtype=np.uint8)[data.index(b"\n") + 1:], body)
+    if out is None:
+        _raise_first_bad_line(path, body)
     return out
+
+
+def _parse_body(buf: np.ndarray, body: str) -> np.ndarray | None:
+    """The data lines of ``body`` (``buf`` holds its UTF-8 bytes), or None
+    when one of them does not parse."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    filled = ends > starts
+    starts, ends = starts[filled], ends[filled]
+    # every line is a 10-byte date, its only comma and a non-empty value
+    if ((ends - starts < 12).any() or (buf[starts + 10] != ord(",")).any()
+            or np.count_nonzero(buf == ord(",")) != starts.size):
+        return None
+    if not starts.size:
+        return np.empty(0, dtype=SERIES_DTYPE)
+    chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
+    digits = chars[:, (0, 1, 2, 3, 5, 6, 8, 9)] - ord("0")
+    if (digits > 9).any() or (chars[:, (4, 7)] != ord("-")).any():
+        return None
+    digits = digits.astype(np.int32)
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    month_days = np.array((31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31))
+    last = month_days[np.clip(month, 1, 12) - 1] + (_is_leap(year) & (month == 2))
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= last)).all():
+        return None
+    out = np.empty(starts.size, dtype=SERIES_DTYPE)
+    # ordinal by days-from-civil: a year counted from March 1 ends on Feb 29
+    year = year - (month <= 2)
+    era = year // 400
+    year_of_era = year - era * 400
+    day_of_year = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    out["day"] = (era * 146097 + year_of_era * 365 + year_of_era // 4
+                  - year_of_era // 100 + day_of_year - 305)  # 0001-03-01 is day 60
+    ordered = np.sort(out["day"])
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    fields = list(filter(None, body.replace("\n", ",").split(",")))
+    try:
+        out["value"] = np.fromiter(map(float, fields[1::2]), np.float64, count=out.size)
+    except ValueError:
+        return None
+    return out
+
+
+def _raise_first_bad_line(path, body: str) -> None:
+    """Raise the ParseError of the first data line of ``body`` that does not
+    parse; the same checks as :func:`_parse_body`, one line at a time."""
+    seen = set()
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected two fields, got {line!r}")
+        try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", parts[0]):
+                raise ValueError(f"Invalid isoformat string: {parts[0]!r}")
+            day = datetime.date.fromisoformat(parts[0])
+            float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if day in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate date {parts[0]}")
+        seen.add(day)
+    raise RuntimeError(f"{path}: rejected by the parser, but every line parses")
 
 
 def read_attributes(path, log_transform: bool = False) -> dict[str, dict[str, float]]:
@@ -159,20 +250,55 @@ def read_attributes(path, log_transform: bool = False) -> dict[str, dict[str, fl
     return out
 
 
-def _window_values(mapping, days, label):
-    values = np.empty(len(days))
-    missing = 0
-    for i, day in enumerate(days):
-        v = mapping.get(day)
-        if v is None:
-            missing += 1
-        else:
-            values[i] = v
+def _window_values(series: np.ndarray, config: IngestConfig, offsets: np.ndarray,
+                   label: str) -> np.ndarray:
+    """The values of ``series`` on the window's days (``offsets``)."""
+    position = series["day"] - config.start.toordinal()
+    inside = (position >= 0) & (position <= offsets[-1])
+    position = position[inside]
+    present = np.zeros(offsets[-1] + 1, dtype=bool)
+    present[position] = True
+    missing = offsets.size - np.count_nonzero(present[offsets])
     if missing:
         raise IncompleteRecord(f"{label}: {missing} day(s) missing in the window")
+    values = np.empty(present.size)
+    values[position] = series["value"][inside]
+    values = values[offsets]
     if not np.isfinite(values).all():
         raise IncompleteRecord(f"{label}: non-finite values in the window")
     return values
+
+
+def _load_catchment(shared, cid: str):
+    """Read, window and extract one catchment.
+
+    Returns ``(error, results)``: the IncompleteRecord or ParseError that
+    excludes the catchment, or its three ``engine._extract_task`` results.
+    """
+    series_dir, config = shared
+    offsets = _window_offsets(config)
+    per_variable = {}
+    try:
+        for variable in SERIES_VARIABLES:
+            path = series_dir / f"{cid}_{variable}.csv"
+            if not path.exists():
+                raise IncompleteRecord(f"missing series file {path}")
+            per_variable[variable] = _window_values(
+                read_series_file(path), config, offsets, f"{cid}/{variable}")
+    except (IncompleteRecord, ParseError) as exc:
+        return exc, []
+    values = {
+        "temperature": (per_variable["tmin"] + per_variable["tmax"]) / 2.0,
+        "precipitation": per_variable["precipitation"],
+        "streamflow": per_variable["streamflow"],
+    }
+    start = config.start + datetime.timedelta(days=int(offsets[0]))
+    return None, [
+        _extract_task(config.feature_config, (cid, kind, TimeSeries(
+            values[kind], start_date=start, period=config.period, variable_kind=kind,
+        )))
+        for kind in sorted(values)
+    ]
 
 
 def load_dataset(
@@ -182,51 +308,23 @@ def load_dataset(
 
     Temperature is the elementwise mean of the tmin and tmax series. Every
     series must cover the configured window completely (after leap-day
-    removal); catchments violating this are excluded with a logged reason
-    under policy "drop" and abort the load under policy "strict".
+    removal) and parse; catchments violating this are excluded with a logged
+    reason under policy "drop" and abort the load under policy "strict".
+    Each catchment is read and extracted as one job of ``config.workers``.
     """
     config = config or IngestConfig()
-    series_dir = Path(series_dir)
+    check_policy(config.policy)
     attributes = read_attributes(attributes_file, config.log_transform)
-    days = expected_dates(config)
-
-    exclusions: list[Exclusion] = []
-    tasks = []
-    for cid in sorted(attributes):
-        try:
-            per_variable = {}
-            for variable in SERIES_VARIABLES:
-                path = series_dir / f"{cid}_{variable}.csv"
-                if not path.exists():
-                    raise IncompleteRecord(f"missing series file {path}")
-                per_variable[variable] = _window_values(
-                    read_series_file(path), days, f"{cid}/{variable}"
-                )
-        except IncompleteRecord as exc:
-            if config.policy == "strict":
-                raise
-            logger.warning("excluding catchment %s: %s", cid, exc)
-            exclusions.append(Exclusion(cid, "*", f"IncompleteRecord: {exc}"))
-            continue
-        temperature = (per_variable["tmin"] + per_variable["tmax"]) / 2.0
-        for kind, values in (
-            ("temperature", temperature),
-            ("precipitation", per_variable["precipitation"]),
-            ("streamflow", per_variable["streamflow"]),
-        ):
-            tasks.append((cid, kind, TimeSeries(
-                values, start_date=days[0], period=config.period,
-                variable_kind=kind,
-            )))
-
-    rows, feature_exclusions = extract_batch(
-        tasks, config=config.feature_config, workers=config.workers,
-        policy=config.policy,
+    ids = sorted(attributes)
+    loaded = parallel_map(_load_catchment, ids, config.workers,
+                          shared=(Path(series_dir), config))
+    rows, exclusions = collect_results(
+        [result for _, results in loaded for result in results], config.policy,
+        failed=[(cid, error) for cid, (error, _) in zip(ids, loaded) if error is not None],
     )
-    exclusions.extend(feature_exclusions)
-    failed = {e.catchment_id for e in exclusions}
+    excluded = {e.catchment_id for e in exclusions}
     # a catchment is all three vectors or nothing
-    kept = [row for row in rows if row.catchment_id not in failed]
+    kept = [row for row in rows if row.catchment_id not in excluded]
     return assemble_rows(kept, attributes), exclusions
 
 

@@ -69,11 +69,14 @@ def pacf(x, max_lag: int) -> np.ndarray:
     return pacf_from_acf(acf(x, max_lag))
 
 
-def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2) -> dict[str, float]:
+def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2, *,
+                    return_acf: bool = False):
     """The eight autocorrelation features of one standardized series.
 
     ``firstzero_ac`` scans to min(n-1, scan_factor * period) and returns that
     bound when the ACF never crosses zero, which keeps the feature total.
+    With ``return_acf`` the result is ``(features, r)``, where ``r`` is the
+    ACF at lags 1..max(that bound, period, 10), for :func:`pacf_feature_set`.
     """
     x = z.values
     p = z.period
@@ -88,7 +91,7 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2) -> dict[str, fl
     r2 = acf(d2, 10)
     nonpos = np.flatnonzero(r[:cap] <= 0.0)
     firstzero = int(nonpos[0]) + 1 if nonpos.size else cap
-    return {
+    features = {
         "x_acf1": float(r[0]),
         "x_acf10": float(r[:10] @ r[:10]),
         "diff1_acf1": float(r1[0]),
@@ -98,13 +101,19 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2) -> dict[str, fl
         "seas_acf1": float(r[p - 1]),
         "firstzero_ac": float(firstzero),
     }
+    return (features, r) if return_acf else features
 
 
-def pacf_feature_set(z: StandardizedSeries) -> dict[str, float]:
-    """The four partial-autocorrelation features of one standardized series."""
+def pacf_feature_set(z: StandardizedSeries, r: np.ndarray | None = None) -> dict[str, float]:
+    """The four partial-autocorrelation features of one standardized series.
+
+    ``r`` is the ACF of ``z`` at lags 1..m for some m >= period, as
+    :func:`acf_feature_set` returns it; it is computed when not given. Each
+    r_k is the same dot product at any m, so the result does not depend on m.
+    """
     x = z.values
     p = z.period
-    phi = pacf(x, p)
+    phi = pacf_from_acf(acf(x, p) if r is None else r[:p])
     phi1 = pacf(difference(x, 1), 5)
     phi2 = pacf(difference(x, 2), 5)
     return {

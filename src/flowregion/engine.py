@@ -102,10 +102,9 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     """
     cfg = config or FeatureConfig()
     z = _step("standardize", lambda: standardize(validate(series)))
-    out: dict[str, float] = {}
-    out.update(_step("acf features", lambda: dependence.acf_feature_set(
-        z, scan_factor=cfg.firstzero_scan_factor)))
-    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z)))
+    out, r = _step("acf features", lambda: dependence.acf_feature_set(
+        z, scan_factor=cfg.firstzero_scan_factor, return_acf=True))
+    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z, r)))
     out["std1st_der"] = _step("std1st_der", lambda: distributional.std1st_der(z))
     out["crossing_points"] = _step(
         "crossing_points", lambda: float(distributional.crossing_points(z)))
@@ -181,6 +180,47 @@ def _extract_task(config, task):
         return catchment_id, variable, None, f"{type(exc).__name__}: {exc}"
 
 
+def check_policy(policy: str) -> None:
+    """Reject a batch policy other than "strict" and "drop"."""
+    if policy not in ("strict", "drop"):
+        raise ValueError(f"unknown batch policy {policy!r}")
+
+
+def collect_results(
+    results, policy: str, failed=(),
+) -> tuple[list[FeatureRow], list[Exclusion]]:
+    """Rows and exclusions from :func:`_extract_task` results, under ``policy``.
+
+    ``failed`` holds ``(catchment id, error)`` for each catchment that failed
+    before extraction. Under policy="strict" the first of them is raised, or
+    else any extraction failure raises ExtractionFailed. Under policy="drop"
+    each failure becomes a logged exclusion: the catchments in ``failed``
+    first (variable ``*``), then the failed records in result order.
+    """
+    if failed and policy == "strict":
+        raise failed[0][1]
+    exclusions: list[Exclusion] = []
+    for cid, error in failed:
+        logger.warning("excluding catchment %s: %s", cid, error)
+        exclusions.append(Exclusion(cid, "*", f"{type(error).__name__}: {error}"))
+    rows: list[FeatureRow] = []
+    dropped: list[Exclusion] = []
+    for cid, var, features, failure in results:
+        if failure is None:
+            rows.append(FeatureRow(cid, var, features))
+        else:
+            dropped.append(Exclusion(cid, var, failure))
+    if dropped and policy == "strict":
+        summary = "; ".join(
+            f"{e.catchment_id}/{e.variable}: {e.reason}" for e in dropped
+        )
+        raise ExtractionFailed(f"{len(dropped)} record(s) failed", summary)
+    for exc in dropped:
+        logger.warning("dropping %s/%s: %s", exc.catchment_id, exc.variable,
+                       exc.reason)
+    return rows, exclusions + dropped
+
+
 def extract_batch(
     tasks,
     config: FeatureConfig | None = None,
@@ -193,26 +233,10 @@ def extract_batch(
     regardless of worker count. Under policy="strict" any failure raises;
     under policy="drop" failing records become logged exclusions.
     """
-    if policy not in ("strict", "drop"):
-        raise ValueError(f"unknown batch policy {policy!r}")
+    check_policy(policy)
     ordered = sorted(tasks, key=lambda t: (t[0], t[1]))
-    results = parallel_map(_extract_task, ordered, workers, shared=config)
-    rows: list[FeatureRow] = []
-    exclusions: list[Exclusion] = []
-    for cid, var, features, failure in results:
-        if failure is None:
-            rows.append(FeatureRow(cid, var, features))
-        else:
-            exclusions.append(Exclusion(cid, var, failure))
-    if exclusions and policy == "strict":
-        summary = "; ".join(
-            f"{e.catchment_id}/{e.variable}: {e.reason}" for e in exclusions
-        )
-        raise ExtractionFailed(f"{len(exclusions)} record(s) failed", summary)
-    for exc in exclusions:
-        logger.warning("dropping %s/%s: %s", exc.catchment_id, exc.variable,
-                       exc.reason)
-    return rows, exclusions
+    return collect_results(parallel_map(_extract_task, ordered, workers, shared=config),
+                           policy)
 
 
 def write_feature_table(path, rows: list[FeatureRow]) -> None:

@@ -88,12 +88,11 @@ def average_ranks(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
     sorted_vals = v[order]
+    # tie group g covers sorted positions starts[g] .. ends[g] - 1
+    ends = np.append(np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, v.size)
+    starts = np.concatenate(([0], ends[:-1]))
     ranks = np.empty(v.size)
-    start = 0
-    for i in range(1, v.size + 1):
-        if i == v.size or sorted_vals[i] != sorted_vals[start]:
-            ranks[order[start:i]] = 0.5 * (start + i - 1) + 1.0
-            start = i
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 

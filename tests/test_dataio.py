@@ -1,8 +1,11 @@
 import datetime
+import random
+import shutil
 
 import numpy as np
 import pytest
 
+from flowregion import cli, dataio
 from flowregion.dataio import (
     IngestConfig,
     expected_dates,
@@ -119,7 +122,172 @@ class TestExpectedDates:
         assert len(days) == 3 * 365
 
 
+def oracle_read_series_file(path):
+    """The per-line parser ``read_series_file`` replaced, kept as the reference."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header.split(",")[:2] != ["date", "value"]:
+            raise ParseError(f"{path}:1: expected 'date,value' header, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected two fields, got {line!r}")
+            try:
+                day = datetime.date.fromisoformat(parts[0])
+                value = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if day in out:
+                raise ParseError(f"{path}:{lineno}: duplicate date {parts[0]}")
+            out[day] = value
+    return out
+
+
+def oracle_window_values(mapping, days, label):
+    """The dict-lookup windowing ``_window_values`` replaced, kept as the reference."""
+    values = np.empty(len(days))
+    missing = 0
+    for i, day in enumerate(days):
+        v = mapping.get(day)
+        if v is None:
+            missing += 1
+        else:
+            values[i] = v
+    if missing:
+        raise IncompleteRecord(f"{label}: {missing} day(s) missing in the window")
+    if not np.isfinite(values).all():
+        raise IncompleteRecord(f"{label}: non-finite values in the window")
+    return values
+
+
+def outcome(fn):
+    """``fn()`` as comparable bytes, or the type and text of its input error."""
+    try:
+        result = fn()
+    except (ParseError, IncompleteRecord) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result.tobytes()
+
+
+def calendar_lines(first, last):
+    """``date,value`` lines for every calendar day, Feb 29 included."""
+    day, one, lines = first, datetime.timedelta(days=1), []
+    rng = np.random.default_rng(first.toordinal())
+    while day <= last:
+        lines.append(f"{day.isoformat()},{rng.normal(10.0, 3.0)!r}")
+        day += one
+    return lines
+
+
+def variant(name):
+    """A ``date,value`` file covering 1999-2001 plus days outside it, in one
+    of the shapes that must parse like the per-line parser."""
+    lines = calendar_lines(datetime.date(1998, 12, 1), datetime.date(2002, 1, 31))
+    if name == "unsorted":
+        random.Random(7).shuffle(lines)
+    if name == "nan_inside":
+        lines[400] = lines[400].split(",")[0] + ",nan"
+    if name == "inf_inside":
+        lines[800] = lines[800].split(",")[0] + ",-inf"
+    if name == "nan_outside":
+        lines[3] = lines[3].split(",")[0] + ",nan"
+    if name == "gap":
+        del lines[500:502]
+    if name == "spelled_values":  # forms float() accepts
+        lines[40] = lines[40].split(",")[0] + ", 1_000.5 "
+        lines[41] = lines[41].split(",")[0] + ",1e-3"
+        lines[42] = lines[42].split(",")[0] + ",-0"
+        lines[43] = lines[43].split(",")[0] + ",\u0661\u0662.5"  # Arabic-Indic digits
+    if name == "far_outside":
+        lines += ["0001-01-01,1.0", "9999-12-31,2.0", "1900-02-28,3.0"]
+    text = "date,value\n" + "\n".join(lines) + "\n"
+    if name == "crlf":
+        text = text.replace("\n", "\r\n")
+    if name == "blank_lines":
+        text = text.replace("1999-07-04,", "\n\n1999-07-04,") + "\n\n"
+    if name == "no_trailing_newline":
+        text = text.rstrip("\n")
+    if name == "header_only":
+        text = "date,value"
+    if name == "blank_body":
+        text = "date,value\n\n\n"
+    return text
+
+
+VARIANTS = ("plain", "unsorted", "nan_inside", "inf_inside", "nan_outside", "gap",
+            "spelled_values", "far_outside", "crlf", "blank_lines",
+            "no_trailing_newline", "header_only", "blank_body")
+
+
 class TestReadSeriesFile:
+    @pytest.mark.parametrize("drop_leap_days", [True, False])
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_agrees_with_per_line_parser(self, tmp_path, name, drop_leap_days):
+        path = tmp_path / "c_streamflow.csv"
+        path.write_bytes(variant(name).encode())
+        parsed = read_series_file(path)
+        reference = oracle_read_series_file(path)
+        assert len(parsed) == len(reference)
+        assert [datetime.date.fromordinal(int(d)) for d in parsed["day"]] == list(reference)
+        assert parsed["value"].tobytes() == np.array(list(reference.values())).tobytes()
+        cfg = small_config(drop_leap_days=drop_leap_days)
+        new = outcome(lambda: dataio._window_values(
+            read_series_file(path), cfg, dataio._window_offsets(cfg), "c/streamflow"))
+        old = outcome(lambda: oracle_window_values(
+            oracle_read_series_file(path), expected_dates(cfg), "c/streamflow"))
+        assert new == old
+        if name.endswith("_inside"):
+            assert old == ("IncompleteRecord", "c/streamflow: non-finite values in the window")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad", [
+        "1999-01-05,1.0,2.0",  # three fields
+        "1999-01-05",  # one field
+        "1981-02-29,1.0",
+        "1900-02-29,1.0",
+        "1999-04-31,1.0",
+        "1980-13-01,1.0",
+        "1980-1-01,1.0",
+        "0000-01-01,1.0",
+        "1999-01-01,2.0",  # duplicate of line 2
+        "1999-01-05,abc",
+        "1999-01-05,",
+        " 1999-01-05,1.0",
+        "1999/01/05,1.0",
+        "1999-01-05,1.0,",
+        "1999-01-051.0",
+    ])
+    @pytest.mark.parametrize("later", ["", "1999-01-02,x\n"])
+    def test_first_bad_line_named_like_per_line_parser(self, tmp_path, bad, newline,
+                                                       later):
+        # line 4 is bad; when a later line is bad too, the first one is named
+        text = f"date,value\n1999-01-01,1.0\n\n{bad}\n1999-01-03,3.0\n{later}"
+        path = tmp_path / "c_tmin.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ParseError) as new:
+            read_series_file(path)
+        with pytest.raises(ParseError) as old:
+            oracle_read_series_file(path)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("date", ["19990105", "1999-W01-2", "1999W012"])
+    def test_only_extended_calendar_dates_parse(self, tmp_path, date):
+        path = tmp_path / "c_tmax.csv"
+        path.write_text(f"date,value\n1999-01-01,1.0\n{date},2.0\n")
+        with pytest.raises(ParseError, match=rf"c_tmax\.csv:3: Invalid isoformat string: '{date}'"):
+            read_series_file(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "c_tmin.csv"
+        path.write_bytes(b"date,value\r\n1999-01-01,1.0\r\n1999-01-02,\xff\r\n")
+        with pytest.raises(ParseError, match=r"c_tmin\.csv:3: invalid start byte"):
+            read_series_file(path)
+
     def test_parse_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "x_tmin.csv"
         path.write_text("date,value\n1999-01-01,1.0\nnot-a-date,2.0\n")
@@ -217,3 +385,109 @@ class TestLoadDataset:
         assert [r.catchment_id for r in records] == ["beta", "gamma"]
         assert any(e.catchment_id == "alpha" and "ZeroVariance" in e.reason
                    for e in exclusions)
+
+
+def add_catchment(series_dir, attributes, source, cid):
+    """Copy catchment ``source`` under the id ``cid``."""
+    for variable in dataio.SERIES_VARIABLES:
+        shutil.copy(series_dir / f"{source}_{variable}.csv",
+                    series_dir / f"{cid}_{variable}.csv")
+    with open(attributes, "a") as fh:
+        fh.write(attribute_line(cid, value=0.7) + "\n")
+
+
+def replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def troubled(dataset):
+    """Five catchments, four of them failing in different ways: a gap (beta),
+    a malformed line (delta), a series whose extraction fails (epsilon) and a
+    missing file (gamma)."""
+    series_dir, attributes, _ = dataset
+    add_catchment(series_dir, attributes, "alpha", "delta")
+    add_catchment(series_dir, attributes, "alpha", "epsilon")
+    path = series_dir / "beta_streamflow.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:300] + lines[302:]) + "\n")
+    replace_line(series_dir / "delta_precipitation.csv", 10, "1999-01-10;4.2")
+    days = expected_dates(small_config())
+    constant = ["date,value"] + [f"{d.isoformat()},3.0" for d in days]
+    (series_dir / "epsilon_precipitation.csv").write_text("\n".join(constant) + "\n")
+    (series_dir / "gamma_tmin.csv").unlink()
+    return series_dir, attributes
+
+
+class TestIngestFailures:
+    def test_malformed_file_excludes_only_its_catchment(self, dataset):
+        series_dir, attributes, _ = dataset
+        path = series_dir / "gamma_streamflow.csv"
+        replace_line(path, 100, "1999-04-10,1.5,x")
+        records, exclusions = load_dataset(series_dir, attributes, small_config())
+        assert [r.catchment_id for r in records] == ["alpha", "beta"]
+        assert [(e.catchment_id, e.variable, e.reason) for e in exclusions] == [
+            ("gamma", "*",
+             f"ParseError: {path}:101: expected two fields, got '1999-04-10,1.5,x'"),
+        ]
+
+    def test_malformed_file_aborts_strict_load(self, dataset):
+        series_dir, attributes, _ = dataset
+        path = series_dir / "gamma_streamflow.csv"
+        lineno = len(path.read_text().splitlines()) + 1
+        path.write_text(path.read_text() + "1999-01-01,1.0\n")
+        with pytest.raises(ParseError, match=rf"{path.name}:{lineno}: duplicate date"):
+            load_dataset(series_dir, attributes, small_config(policy="strict"))
+
+    def test_strict_raises_first_ingest_error_in_catchment_order(self, troubled):
+        series_dir, attributes = troubled
+        with pytest.raises(IncompleteRecord, match="beta/streamflow: 2 day"):
+            load_dataset(series_dir, attributes, small_config(policy="strict"))
+
+    def test_malformed_attributes_stay_fatal(self, dataset):
+        series_dir, attributes, _ = dataset
+        with open(attributes, "a") as fh:
+            fh.write(attribute_line("omega", value="high") + "\n")
+        with pytest.raises(ParseError, match=r"attributes\.csv:5"):
+            load_dataset(series_dir, attributes, small_config())
+
+    def test_worker_count_changes_no_record_or_exclusion(self, troubled):
+        series_dir, attributes = troubled
+        loads = [load_dataset(series_dir, attributes, small_config(workers=w))
+                 for w in (1, 2)]
+        for records, exclusions in loads:
+            assert [r.catchment_id for r in records] == ["alpha"]
+            assert [(e.catchment_id, e.variable, e.reason.split(":")[0])
+                    for e in exclusions] == [
+                ("beta", "*", "IncompleteRecord"),
+                ("delta", "*", "ParseError"),
+                ("gamma", "*", "IncompleteRecord"),
+                ("epsilon", "precipitation", "ZeroVariance in standardize"),
+            ]
+        (one, one_excl), (two, two_excl) = loads
+        assert one_excl == two_excl
+        assert len(one) == len(two)
+        for a, b in zip(one, two):
+            assert (a.catchment_id, a.static) == (b.catchment_id, b.static)
+            for variable in dataio.ANALYSIS_VARIABLES:
+                assert (a.features(variable).values.tobytes()
+                        == b.features(variable).values.tobytes())
+
+    @pytest.mark.parametrize("policy, code, rows", [("--drop", cli.EXIT_OK, 2),
+                                                    ("--strict", cli.EXIT_INPUT, None)])
+    def test_cli_malformed_file(self, dataset, tmp_path, policy, code, rows):
+        series_dir, attributes, _ = dataset
+        replace_line(series_dir / "beta_tmax.csv", 7, "1999-01-07,warm")
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--series-dir", str(series_dir), "--attributes",
+                         str(attributes), "--out", str(out), "--start", "1999-01-01",
+                         "--end", "2001-12-31", "--workers", "1", policy]) == code
+        if rows is not None:
+            features = (out / "features.csv").read_text().splitlines()
+            assert len(features) == 1 + 3 * rows
+            exclusions = (out / "exclusions.csv").read_text().splitlines()
+            assert exclusions[1].startswith("beta,*,ParseError: ")
+            assert exclusions[1].endswith("beta_tmax.csv:8: could not convert string "
+                                          "to float: 'warm'")

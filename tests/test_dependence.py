@@ -130,6 +130,18 @@ class TestPacfFeatureSet:
         feats = pacf_feature_set(z)
         assert feats["x_pacf5"] <= 0.01
 
+    @pytest.mark.parametrize("n, period", [(900, 365), (3650, 365), (12410, 365),
+                                           (400, 12), (60, 7)])
+    def test_reused_acf_prefix_is_bit_identical(self, n, period):
+        from flowregion.dependence import pacf_feature_set
+
+        x = ar1(n, 0.6, seed=n) + sine(n, period=period, seed=period)
+        z = standardized(x, period=period)
+        features, r = acf_feature_set(z, return_acf=True)
+        assert features == acf_feature_set(z)
+        assert r.size >= period
+        assert pacf_feature_set(z, r) == pacf_feature_set(z)
+
     def test_lower_bound_by_first_partial(self, rng):
         from flowregion.dependence import pacf_feature_set
 

@@ -125,6 +125,32 @@ class TestSpearman:
         np.testing.assert_allclose(average_ranks([10.0, 20.0, 20.0, 30.0]),
                                    [1.0, 2.5, 2.5, 4.0])
 
+    def test_average_ranks_match_loop_oracle(self, rng):
+        cases = [np.zeros(7), np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+                 np.array([2.0, 1.0, 2.0])]
+        for n in (3, 4, 5, 17, 64, 460, 511):
+            cases.append(rng.normal(size=n))
+            cases.append(rng.integers(0, 4, size=n).astype(float))  # heavy ties
+            cases.append(rng.choice([-0.0, 0.0, 1.0, -1.0], size=n))
+            cases.append(np.full(n, 3.25))
+        for values in cases:
+            got = average_ranks(values)
+            assert got.tobytes() == loop_average_ranks(values).tobytes(), values
+
+
+def loop_average_ranks(values):
+    """The per-value loop ``average_ranks`` replaced, kept as the reference."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    sorted_vals = v[order]
+    ranks = np.empty(v.size)
+    start = 0
+    for i in range(1, v.size + 1):
+        if i == v.size or sorted_vals[i] != sorted_vals[start]:
+            ranks[order[start:i]] = 0.5 * (start + i - 1) + 1.0
+            start = i
+    return ranks
+
 
 class TestGroups:
     def test_column_counts(self):
