@@ -88,6 +88,36 @@ static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, int bits, int
     return a;
 }
 
+/* scratch memory for growing trees on n rows and p predictors, in one block */
+struct workspace {
+    int64_t *rows, *reordered, *count, *stack;
+    double *ys, *inv;
+    uint64_t *words;
+    uint32_t *keys;
+    char *chosen, *drawn;
+};
+
+static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
+{
+    size_t eight_byte = (size_t)(2 * n + ((int64_t)1 << DIGIT_BITS) + 3 * (n + 1) + n + (n + 1) + 3 * n);
+    char *block = malloc(eight_byte * 8 + (size_t)n * sizeof *w->keys + (size_t)(p + n));
+    if (!block)
+        return NULL;
+    w->rows = (int64_t *)block;
+    w->reordered = w->rows + n;
+    w->count = w->reordered + n;
+    w->stack = w->count + ((int64_t)1 << DIGIT_BITS);
+    w->ys = (double *)(w->stack + 3 * (n + 1));
+    w->inv = w->ys + n;
+    w->words = (uint64_t *)(w->inv + n + 1);
+    w->keys = (uint32_t *)(w->words + 3 * n);
+    w->chosen = (char *)(w->keys + n);
+    w->drawn = w->chosen + p;
+    for (int64_t k = 1; k <= n; k++)
+        w->inv[k] = 1.0 / (double)k;
+    return block;
+}
+
 /*
  * Grow one tree depth-first, left child first, on the bootstrap sample
  * `inbag` (n draws of rows of the n x p matrix X).
@@ -96,34 +126,26 @@ static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, int bits, int
  *   X's values. draws: n_draws rows of p candidate orders, one consumed per
  *   node that tries to split; a node's candidates are the first n_cand
  *   entries of its row, scanned in ascending predictor order.
- * The node arrays need room for 2n - 1 nodes. Returns the node count, -1 if
- * the draws ran out, or -2 if memory ran out.
+ * The node arrays have room for `room` nodes. Returns the node count, -1 if
+ * the draws ran out, or -3 if the room ran out.
  */
-int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64_t n,
-                  int64_t p, const int64_t *inbag, const int64_t *draws, int64_t n_draws,
-                  int64_t n_cand, int64_t min_node_size, int32_t *feature, double *threshold,
-                  int32_t *left, int32_t *right, double *value)
+static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *ranks,
+                         const double *y, int64_t n, int64_t p, const int64_t *inbag,
+                         const int64_t *draws, int64_t n_draws, int64_t n_cand,
+                         int64_t min_node_size, int64_t room, int32_t *feature,
+                         double *threshold, int32_t *left, int32_t *right, double *value)
 {
-    int64_t *rows = malloc((size_t)n * sizeof *rows);
-    int64_t *reordered = malloc((size_t)n * sizeof *reordered);
-    double *ys = malloc((size_t)n * sizeof *ys);
-    double *inv = malloc((size_t)(n + 1) * sizeof *inv);
-    uint32_t *keys = malloc((size_t)n * sizeof *keys);
-    uint64_t *words = malloc((size_t)3 * n * sizeof *words);
-    int64_t *count = malloc(((size_t)1 << DIGIT_BITS) * sizeof *count);
-    int64_t *stack = malloc((size_t)3 * (n + 1) * sizeof *stack);
-    char *chosen = malloc((size_t)p);
-    int64_t result = -2;
-    if (!rows || !reordered || !ys || !inv || !keys || !words || !count || !stack || !chosen)
-        goto done;
-
-    for (int64_t k = 1; k <= n; k++)
-        inv[k] = 1.0 / (double)k;
+    int64_t *rows = w->rows, *stack = w->stack;
+    double *ys = w->ys, *inv = w->inv;
+    uint32_t *keys = w->keys;
+    char *chosen = w->chosen;
     for (int64_t i = 0; i < n; i++)
         rows[i] = inbag[i];
 
     /* the stack holds (node id, first row in `rows`, row count) */
     int64_t n_nodes = 1, next_draw = 0, depth = 1;
+    if (room < 1)
+        return -3;
     feature[0] = -1;
     threshold[0] = NAN;
     left[0] = right[0] = -1;
@@ -145,10 +167,8 @@ int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64
         value[node] = total / (double)m;
         if (m < 2 * min_node_size || hi == lo)
             continue;
-        if (next_draw == n_draws) {
-            result = -1;
-            goto done;
-        }
+        if (next_draw == n_draws)
+            return -1;
         memset(chosen, 0, (size_t)p);
         for (int64_t k = 0; k < n_cand; k++)
             chosen[draws[next_draw * p + k]] = 1;
@@ -156,7 +176,7 @@ int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64
 
         /* valid split positions: both children keep min_node_size rows */
         int64_t first = min_node_size - 1, last = m - min_node_size - 1;
-        uint64_t *best = words, *work = words + n, *spare = words + 2 * n;
+        uint64_t *best = w->words, *work = w->words + n, *spare = w->words + 2 * n;
         double best_gain = -INFINITY;
         int64_t best_f = -1, best_i = -1;
         int nan_found = 0;
@@ -176,7 +196,7 @@ int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64
             int bits = 0;
             while (bits < 32 && (kmax - kmin) >> bits)
                 bits++;
-            uint64_t *sorted = sort_words(work, spare, m, bits, count);
+            uint64_t *sorted = sort_words(work, spare, m, bits, w->count);
             uint64_t *other = sorted == work ? spare : work;
 
             double sl = 0.;
@@ -210,10 +230,12 @@ int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64
         }
         if (best_f < 0)
             continue;
+        if (n_nodes + 2 > room)
+            return -3;
 
         for (int64_t i = 0; i < m; i++)
-            reordered[i] = node_rows[(uint32_t)best[i]];
-        memcpy(node_rows, reordered, (size_t)m * sizeof *node_rows);
+            w->reordered[i] = node_rows[(uint32_t)best[i]];
+        memcpy(node_rows, w->reordered, (size_t)m * sizeof *node_rows);
         int64_t child = n_nodes;
         n_nodes += 2;
         for (int64_t c = child; c < child + 2; c++) {
@@ -237,18 +259,58 @@ int64_t grow_tree(const double *X, const uint32_t *ranks, const double *y, int64
         push[5] = best_i + 1;
         depth += 2;
     }
-    result = n_nodes;
+    return n_nodes;
+}
 
-done:
-    free(rows);
-    free(reordered);
-    free(ys);
-    free(inv);
-    free(keys);
-    free(words);
-    free(count);
-    free(stack);
-    free(chosen);
+/*
+ * Grow trees t0 .. t1-1 of a forest into its node store, and list each
+ * tree's out-of-bag rows.
+ *
+ * inbag: the forest's n_trees x n bootstrap draws; row t is tree t's sample.
+ * draws: (t1 - t0) blocks of n_draws x p candidate orders, block t - t0 for
+ *   tree t (see grow_tree).
+ * Tree t's nodes go to [node_start[t], node_start[t+1]) of the node arrays,
+ * which hold `room` nodes; its child indices count from its own first node.
+ * Its out-of-bag rows, ascending, go to [oob_start[t], oob_start[t+1]) of
+ * `oob`. node_start[t0] and oob_start[t0] must be set; the kernel sets
+ * entries t0+1 .. t1. Returns 0, -1 if a tree ran out of draws, -2 if memory
+ * ran out, or -3 if the node store ran out of room.
+ */
+int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int64_t n,
+                    int64_t p, const int64_t *inbag, const int64_t *draws, int64_t n_draws,
+                    int64_t n_cand, int64_t min_node_size, int64_t room, int32_t *feature,
+                    double *threshold, int32_t *left, int32_t *right, double *value,
+                    int64_t *node_start, int64_t *oob, int64_t *oob_start, int64_t t0,
+                    int64_t t1)
+{
+    struct workspace w;
+    void *block = alloc_workspace(&w, n, p);
+    if (!block)
+        return -2;
+    int64_t result = 0;
+    for (int64_t t = t0; t < t1; t++) {
+        const int64_t *sample = inbag + t * n;
+        int64_t at = node_start[t];
+        int64_t count = grow_tree(&w, X, ranks, y, n, p, sample,
+                                  draws + (t - t0) * n_draws * p, n_draws, n_cand,
+                                  min_node_size, room - at, feature + at, threshold + at,
+                                  left + at, right + at, value + at);
+        if (count < 0) {
+            result = count;
+            break;
+        }
+        node_start[t + 1] = at + count;
+
+        memset(w.drawn, 0, (size_t)n);
+        for (int64_t i = 0; i < n; i++)
+            w.drawn[sample[i]] = 1;
+        int64_t *out = oob + oob_start[t];
+        for (int64_t r = 0; r < n; r++)
+            if (!w.drawn[r])
+                *out++ = r;
+        oob_start[t + 1] = out - oob;
+    }
+    free(block);
     return result;
 }
 
@@ -274,6 +336,48 @@ void descend(const int32_t *feature, const double *threshold, const int32_t *lef
                 node = X[row * p + f] <= threshold[node] ? left[node] : right[node];
             }
             out[c * n + r] = value[node];
+        }
+    }
+}
+
+
+/* index of the leaf that the predictor values x reach in one tree */
+static inline int32_t leaf(const int32_t *feature, const double *threshold, const int32_t *left,
+                           const int32_t *right, const double *x)
+{
+    int32_t node = 0, f;
+    while ((f = feature[node]) >= 0)
+        node = x[f] <= threshold[node] ? left[node] : right[node];
+    return node;
+}
+
+/*
+ * Leaf values of every tree of a forest stored as grow_forest leaves it,
+ * summed per row of the n x p matrix X in tree order.
+ *
+ * Without `oob`, every tree predicts every row. With it (the forest's
+ * out-of-bag lists, X its training rows), each tree predicts only its
+ * out-of-bag rows, and counts[r] counts the trees that predicted row r.
+ * sums and counts must start at zero.
+ */
+void descend_forest(const int32_t *feature, const double *threshold, const int32_t *left,
+                    const int32_t *right, const double *value, const int64_t *node_start,
+                    int64_t n_trees, const double *X, int64_t n, int64_t p, const int64_t *oob,
+                    const int64_t *oob_start, double *sums, int64_t *counts)
+{
+    for (int64_t t = 0; t < n_trees; t++) {
+        int64_t at = node_start[t];
+        const int32_t *f = feature + at, *l = left + at, *r = right + at;
+        const double *thr = threshold + at, *v = value + at;
+        if (!oob) {
+            for (int64_t row = 0; row < n; row++)
+                sums[row] += v[leaf(f, thr, l, r, X + row * p)];
+            continue;
+        }
+        for (int64_t i = oob_start[t]; i < oob_start[t + 1]; i++) {
+            int64_t row = oob[i];
+            sums[row] += v[leaf(f, thr, l, r, X + row * p)];
+            counts[row]++;
         }
     }
 }

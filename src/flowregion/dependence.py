@@ -19,6 +19,29 @@ ACF_FEATURES = (
 PACF_FEATURES = ("x_pacf5", "diff1x_pacf5", "diff2x_pacf5", "seas_pacf")
 
 
+#: lags added at a time while the ACF is searched for its first zero crossing
+_ACF_BLOCK = 32
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    xc = x - x.mean()
+    denom = float(xc @ xc)
+    if denom <= 0.0:
+        raise ZeroVariance("autocorrelation undefined for a constant series")
+    return xc, denom
+
+
+def _acf_lags(xc: np.ndarray, denom: float, first: int, last: int) -> np.ndarray:
+    """r_k at lags first..last of the centred series xc, whose sum of squares
+    is denom."""
+    n = xc.size
+    r = np.empty(last - first + 1)
+    for k in range(first, last + 1):
+        r[k - first] = xc[: n - k] @ xc[k:]
+    r /= denom
+    return r
+
+
 def acf(x, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation at lags 1..max_lag.
 
@@ -33,15 +56,7 @@ def acf(x, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must be >= 1")
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= series length {n}")
-    xc = x - x.mean()
-    denom = float(xc @ xc)
-    if denom <= 0.0:
-        raise ZeroVariance("autocorrelation undefined for a constant series")
-    r = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
-        r[k - 1] = xc[: n - k] @ xc[k:]
-    r /= denom
-    return r
+    return _acf_lags(*_centred(x), 1, max_lag)
 
 
 def pacf_from_acf(r: np.ndarray) -> np.ndarray:
@@ -76,7 +91,8 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2, *,
     ``firstzero_ac`` scans to min(n-1, scan_factor * period) and returns that
     bound when the ACF never crosses zero, which keeps the feature total.
     With ``return_acf`` the result is ``(features, r)``, where ``r`` is the
-    ACF at lags 1..max(that bound, period, 10), for :func:`pacf_feature_set`.
+    ACF at lags 1..m for some m >= max(period, 10), for
+    :func:`pacf_feature_set`.
     """
     x = z.values
     p = z.period
@@ -84,7 +100,16 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2, *,
     if n < 2 * p + 2:
         raise TooShort(f"need length >= {2 * p + 2} for the ACF feature set, got {n}")
     cap = min(n - 1, scan_factor * p)
-    r = acf(x, max(cap, p, 10))
+    r = acf(x, max(p, 10))
+    if r.size < cap and not (r <= 0.0).any():
+        # lags past the first non-positive one are never read: extend block
+        # by block towards the cap only until one appears
+        xc, denom = _centred(x)
+        blocks, lags = [r], r.size
+        while lags < cap and not (blocks[-1] <= 0.0).any():
+            blocks.append(_acf_lags(xc, denom, lags + 1, min(cap, lags + _ACF_BLOCK)))
+            lags += blocks[-1].size
+        r = np.concatenate(blocks)
     d1 = difference(x, 1)
     d2 = difference(x, 2)
     r1 = acf(d1, 10)

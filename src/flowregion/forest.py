@@ -9,11 +9,16 @@ bit-identical whatever was grown before it.
 
 Growth and descent run in a compiled kernel (``_tree.c``, built on first use
 by :mod:`flowregion.native`). Python draws each tree's bootstrap sample and
-its per-node candidate orders from the tree's generator; the kernel grows the
-tree depth-first, left child first. At each node it sorts the node's rows by
-each candidate's column ranks (the dense rank of every value within its
-column, computed once per design matrix): a stable sort, so tied values keep
-the node's row order, and the children inherit the split predictor's order.
+its per-node candidate orders from the tree's generator, into buffers reused
+across a forest; one kernel call per batch of trees grows them into the
+forest's single node store (:class:`TreeStore`) and lists their out-of-bag
+rows, and one call descends every tree for :func:`predict` or
+:func:`oob_error`, summing in tree order. ``ForestModel.trees`` are views
+into that store. The kernel grows each tree depth-first, left child first.
+At each node it sorts the node's rows by each candidate's column ranks (the
+dense rank of every value within its column, computed once per design
+matrix): a stable sort, so tied values keep the node's row order, and the
+children inherit the split predictor's order.
 Only the order and equality of ranks matter, so the ranks of a larger matrix
 restricted to a subset of its rows serve that subset. The split arithmetic
 follows numpy step for step, so the trees are bit-identical to a numpy grower
@@ -90,6 +95,15 @@ class DesignMatrix:
         if self.ranks.shape != self.X.T.shape:
             raise ValueError("ranks must be laid out predictors x rows")
 
+    def subset(self, rows: np.ndarray) -> DesignMatrix:
+        """These rows, with their ranks, without validating them again."""
+        sub = object.__new__(DesignMatrix)
+        sub.columns = self.columns
+        sub.X = self.X[rows]
+        sub.y = self.y[rows]
+        sub.ranks = self.ranks.take(rows, axis=1)
+        return sub
+
 
 @dataclass
 class ForestParams:
@@ -110,12 +124,43 @@ class RegressionTree:
 
 
 @dataclass
+class TreeStore:
+    """Every tree of a forest, packed end to end.
+
+    Tree t's nodes are entries ``node_start[t]:node_start[t + 1]`` of the node
+    arrays (its child indices count from its own first node), its bootstrap
+    draws are row t of ``inbag`` and its out-of-bag rows are entries
+    ``oob_start[t]:oob_start[t + 1]`` of ``oob``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    node_start: np.ndarray
+    inbag: np.ndarray
+    oob: np.ndarray
+    oob_start: np.ndarray
+
+    def trees(self) -> list[RegressionTree]:
+        """One :class:`RegressionTree` of views into the store per tree."""
+        nodes, oob = self.node_start.tolist(), self.oob_start.tolist()
+        return [
+            RegressionTree(self.feature[a:b], self.threshold[a:b], self.left[a:b],
+                           self.right[a:b], self.value[a:b], inbag, self.oob[c:d])
+            for a, b, c, d, inbag in zip(nodes, nodes[1:], oob, oob[1:], self.inbag)
+        ]
+
+
+@dataclass
 class ForestModel:
-    trees: list[RegressionTree]
+    trees: list[RegressionTree]  # views into ``store``
     columns: list[str]
     params: ForestParams
     seed: int
     n_rows: int
+    store: TreeStore = field(repr=False)
 
 
 @dataclass
@@ -141,50 +186,67 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
 def _kernel() -> ctypes.CDLL:
     lib = native.load()
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.grow_tree.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, i64, i64,
-                              ptr, ptr, ptr, ptr, ptr]
-    lib.grow_tree.restype = i64
+    lib.grow_forest.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, i64, i64, i64,
+                                ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
+    lib.grow_forest.restype = i64
+    lib.descend_forest.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, i64, ptr,
+                                   ptr, ptr, ptr]
+    lib.descend_forest.restype = None
     lib.descend.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr]
     lib.descend.restype = None
     return lib
 
 
-def _grow(X, ranks, y, mtry, min_node_size, rng) -> RegressionTree:
-    """One tree on a bootstrap sample; ``X``, ``ranks`` and ``y`` must be
-    contiguous float64, uint32 and float64 arrays of matching shapes."""
+#: trees whose candidate draws are held at once
+_BATCH = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _candidate_base(rows: int, p: int) -> np.ndarray:
+    base = np.tile(np.arange(p, dtype=np.int64), (rows, 1))
+    base.flags.writeable = False
+    return base
+
+
+def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
+    """``n_trees`` trees, each on a bootstrap sample drawn from the next of
+    the generators ``rngs``; ``X``, ``ranks`` and ``y`` must be contiguous
+    float64, uint32 and float64 arrays of matching shapes."""
     n, p = X.shape
-    inbag = rng.integers(0, n, size=n)
-    oob = np.flatnonzero(np.bincount(inbag, minlength=n) == 0)
-    size = 2 * n - 1
-    feature = np.empty(size, dtype=np.int32)
-    threshold = np.empty(size)
-    left = np.empty(size, dtype=np.int32)
-    right = np.empty(size, dtype=np.int32)
-    value = np.empty(size)
-    # one row of candidate orders per node that tries to split; K rows drawn
+    # One row of candidate orders per node that tries to split; K rows drawn
     # at once are the rows of, and leave the generator as, K calls to
     # rng.permutation(p). Every leaf keeps at least min_node_size rows and a
-    # leaf that tried to split twice that, so fewer than n // min_node_size
-    # nodes try.
-    draws = rng.permuted(np.tile(np.arange(p, dtype=np.int64), (n // min_node_size, 1)),
-                         axis=1)
-    count = _kernel().grow_tree(
-        X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n, p, inbag.ctypes.data,
-        draws.ctypes.data, len(draws), mtry, min_node_size, feature.ctypes.data,
-        threshold.ctypes.data, left.ctypes.data, right.ctypes.data, value.ctypes.data)
-    if count == -2:
-        raise MemoryError("tree kernel could not allocate its workspace")
-    if count < 0:
-        raise RuntimeError("tree kernel ran out of candidate draws")
-    return RegressionTree(
-        feature=feature[:count].copy(),
-        threshold=threshold[:count].copy(),
-        left=left[:count].copy(),
-        right=right[:count].copy(),
-        value=value[:count].copy(),
-        inbag=inbag,
-        oob=oob,
-    )
+    # leaf that tried to split twice that, so fewer than K = n // min_node_size
+    # nodes try and a tree has at most 2K - 1 nodes.
+    k = n // min_node_size
+    room = n_trees * (2 * k - 1)
+    store = TreeStore(
+        feature=np.empty(room, dtype=np.int32), threshold=np.empty(room),
+        left=np.empty(room, dtype=np.int32), right=np.empty(room, dtype=np.int32),
+        value=np.empty(room), node_start=np.zeros(n_trees + 1, dtype=np.int64),
+        inbag=np.empty((n_trees, n), dtype=np.int64),
+        oob=np.empty(n_trees * n, dtype=np.int64),
+        oob_start=np.zeros(n_trees + 1, dtype=np.int64))
+    base = _candidate_base(k, p)
+    draws = np.empty((min(n_trees, _BATCH), k, p), dtype=np.int64)
+    slots = list(draws)
+    outputs = [a.ctypes.data for a in (store.feature, store.threshold, store.left, store.right,
+                                       store.value, store.node_start, store.oob, store.oob_start)]
+    grow = functools.partial(
+        _kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n, p,
+        store.inbag.ctypes.data, draws.ctypes.data, k, mtry, min_node_size, room, *outputs)
+    first = 0
+    for t, rng in enumerate(rngs):
+        store.inbag[t] = rng.integers(0, n, size=n)
+        rng.permuted(base, axis=1, out=slots[t - first])
+        if t + 1 - first == len(slots) or t + 1 == n_trees:
+            status = grow(first, t + 1)
+            if status == -2:
+                raise MemoryError("tree kernel could not allocate its workspace")
+            if status < 0:
+                raise RuntimeError("tree kernel ran out of candidate draws or node room")
+            first = t + 1
+    return store
 
 
 def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
@@ -205,13 +267,27 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
     if params.min_node_size < 1:
         raise ValueError(f"min_node_size must be at least 1, got {params.min_node_size}")
 
-    trees = [
-        _grow(data.X, data.ranks, data.y, mtry, params.min_node_size,
-              substream(seed, _TREE_STREAM, t))
-        for t in range(params.n_trees)
-    ]
-    return ForestModel(trees=trees, columns=list(data.columns), params=params,
-                       seed=seed, n_rows=n)
+    store = _grow_forest(
+        data.X, data.ranks, data.y, mtry, params.min_node_size, params.n_trees,
+        (substream(seed, _TREE_STREAM, t) for t in range(params.n_trees)))
+    return ForestModel(trees=store.trees(), columns=list(data.columns), params=params,
+                       seed=seed, n_rows=n, store=store)
+
+
+def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool):
+    """Per-row sums, in tree order, of the leaf values that the rows of the
+    contiguous float64 array X reach in every tree of ``store``, and per-row
+    tree counts. With ``oob`` (X then being the training rows) each tree
+    predicts only its out-of-bag rows; otherwise the counts stay zero."""
+    n, p = X.shape
+    sums = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    _kernel().descend_forest(
+        store.feature.ctypes.data, store.threshold.ctypes.data, store.left.ctypes.data,
+        store.right.ctypes.data, store.value.ctypes.data, store.node_start.ctypes.data,
+        len(store.inbag), X.ctypes.data, n, p, store.oob.ctypes.data if oob else None,
+        store.oob_start.ctypes.data, sums.ctypes.data, counts.ctypes.data)
+    return sums, counts
 
 
 def _descend(tree: RegressionTree, X: np.ndarray, cols=None,
@@ -247,9 +323,7 @@ def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
             f"expected {len(model.columns)} predictor columns, got "
             f"{X.shape[1] if X.ndim == 2 else 'non-2d input'}"
         )
-    total = np.zeros(X.shape[0])
-    for tree in model.trees:
-        total += _descend(tree, X)
+    total, _ = _descend_forest(model.store, X, oob=False)
     return total / len(model.trees)
 
 
@@ -261,13 +335,7 @@ def oob_error(model: ForestModel, data: DesignMatrix) -> float:
     """
     _check_training_data(model, data)
     n = data.X.shape[0]
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    for tree in model.trees:
-        if tree.oob.size == 0:
-            continue
-        sums[tree.oob] += _descend(tree, data.X[tree.oob])
-        counts[tree.oob] += 1
+    sums, counts = _descend_forest(model.store, data.X, oob=True)
     covered = counts > 0
     if not covered.any():
         raise NoOobCoverage("no row has out-of-bag predictions")

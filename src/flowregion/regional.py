@@ -190,27 +190,35 @@ def cross_validate(
     params: ForestParams | None = None,
     seed: int = 0,
     folds: list[np.ndarray] | None = None,
+    design: DesignMatrix | None = None,
 ) -> CrossValResult:
     """k-fold cross-validated prediction of one streamflow feature.
 
     Every catchment is predicted exactly once (by the model trained without
     its fold) and the RMSE pools all catchments rather than averaging
-    per-fold scores.
+    per-fold scores. ``design``, a design matrix of these records whose
+    columns include the group's (its target is ignored), saves assembling
+    and ranking the group's columns again.
     """
     if folds is None:
         if len(records) < 2 * k:
             raise BadK(f"need at least {2 * k} records for k={k}")
         folds = kfold_split(len(records), k, child_seed(seed, "folds"))
     columns = group_columns(group)
-    data = DesignMatrix(columns, predictor_matrix(records, columns),
-                        target_vector(records, target))
+    y = target_vector(records, target)
+    if design is None:
+        data = DesignMatrix(columns, predictor_matrix(records, columns), y)
+    else:
+        position = {c: i for i, c in enumerate(design.columns)}
+        index = [position[c] for c in columns]
+        data = DesignMatrix(columns, design.X[:, index], y, design.ranks[index])
     predictions = np.empty(len(records))
-    all_rows = np.arange(len(records))
     for fold_index, fold in enumerate(folds):
-        train = np.setdiff1d(all_rows, fold, assume_unique=True)
+        train = np.ones(len(records), dtype=bool)
+        train[fold] = False
         # ranks restricted to the training rows keep their order and ties
         model = fit(
-            DesignMatrix(columns, data.X[train], data.y[train], data.ranks[:, train]),
+            data.subset(np.flatnonzero(train)),
             params,
             seed=child_seed(seed, "cv", target, group, fold_index),
         )
@@ -236,11 +244,11 @@ class EvaluationReport:
 
 
 def _cv_job(shared, pair):
-    records, params, seed, folds = shared
+    records, params, seed, folds, design = shared
     target, group = pair
     try:
         result = cross_validate(records, target, group, params=params,
-                                seed=seed, folds=folds)
+                                seed=seed, folds=folds, design=design)
     except FlowRegionError as exc:
         raise type(exc)(f"({target}, {group}): {exc}") from exc
     return target, group, result
@@ -272,8 +280,9 @@ def evaluate_all(
         raise BadK(f"need at least {2 * k} records for k={k}")
     folds = kfold_split(len(records), k, child_seed(seed, "folds"))
     pairs = [(target, group) for target in FEATURE_NAMES for group in groups]
+    # one predictor matrix and one ranking serve every pair
     outcomes = parallel_map(_cv_job, pairs, workers,
-                            shared=(records, params, seed, folds))
+                            shared=(records, params, seed, folds, _full_design(records)))
 
     scores = np.empty((len(FEATURE_NAMES), len(groups)))
     prediction_group = "STP" if "STP" in groups else None
@@ -322,6 +331,14 @@ def _importance_job(shared, target):
     return target, report
 
 
+def _full_design(records: list[CatchmentRecord]) -> DesignMatrix:
+    """All 75 predictors, ranked once, with the first streamflow feature as
+    a placeholder target."""
+    columns = list(ALL_PREDICTORS)
+    return DesignMatrix(columns, predictor_matrix(records, columns),
+                        target_vector(records, FEATURE_NAMES[0]))
+
+
 def importance_all(
     records: list[CatchmentRecord],
     params: ForestParams | None = None,
@@ -330,11 +347,8 @@ def importance_all(
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
     # one predictor matrix and one ranking serve every target
-    columns = list(ALL_PREDICTORS)
-    design = DesignMatrix(columns, predictor_matrix(records, columns),
-                          target_vector(records, FEATURE_NAMES[0]))
     return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
-                             shared=(records, design, params, seed)))
+                             shared=(records, _full_design(records), params, seed)))
 
 
 # -- distribution summaries ---------------------------------------------------

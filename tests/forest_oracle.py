@@ -1,9 +1,11 @@
 """The numpy random-forest grower and descent that the compiled kernel replaced.
 
 Kept as the reference that ``tests/test_tree_kernel.py`` compares the kernel
-with bit for bit. ``grow_tree`` and ``tree_predict`` take the arguments of
-``forest._grow`` and ``forest._descend``, so a test can patch them in and run
-the same ``fit``, ``predict``, ``oob_error`` and ``permutation_importance``.
+with bit for bit. ``grow_forest``, ``descend_forest`` and ``tree_predict`` take
+the arguments of ``forest._grow_forest``, ``forest._descend_forest`` and
+``forest._descend``, so a test can patch them in and run the same ``fit``,
+``predict``, ``oob_error`` and ``permutation_importance``. The forest-level
+functions loop over the per-tree ``grow_tree`` and ``tree_predict``.
 
 The grower sorts integer keys instead of floats at each node: every value is
 replaced by its dense rank within its column, shifted into the high 32 bits,
@@ -14,7 +16,7 @@ sort order and equal high words mark tied values.
 
 import numpy as np
 
-from flowregion.forest import RegressionTree
+from flowregion.forest import RegressionTree, TreeStore
 
 _LOW_WORD = np.uint64(0xFFFFFFFF)
 _HIGH_SHIFT = np.uint64(32)
@@ -45,7 +47,7 @@ def inverse_sizes(cache: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grow_tree(X, ranks, y, mtry, min_node_size, rng):
-    """One tree as ``forest._grow`` grows it. ``ranks`` is ignored: the keys
+    """One tree of ``forest._grow_forest``. ``ranks`` is ignored: the keys
     are ranked again from X, so a comparison also checks the ranks a caller
     passes to the kernel."""
     keys = rank_keys(X)
@@ -182,3 +184,34 @@ def tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
         active = active[feature[nodes[active]] >= 0]
     out = value[nodes]
     return out if cols is None else out.reshape(len(cols), n)
+
+
+def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
+    """One ``grow_tree`` per generator, packed as ``forest._grow_forest`` packs."""
+    trees = [grow_tree(X, ranks, y, mtry, min_node_size, rng) for rng in rngs]
+    assert len(trees) == n_trees
+
+    def packed(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    return TreeStore(
+        feature=packed("feature"), threshold=packed("threshold"), left=packed("left"),
+        right=packed("right"), value=packed("value"),
+        node_start=np.cumsum([0] + [tree.feature.size for tree in trees]),
+        inbag=np.stack([tree.inbag for tree in trees]), oob=packed("oob"),
+        oob_start=np.cumsum([0] + [tree.oob.size for tree in trees]))
+
+
+def descend_forest(store: TreeStore, X: np.ndarray, oob: bool):
+    """Per-row sums and counts of ``forest._descend_forest``, one
+    ``tree_predict`` per tree."""
+    n = X.shape[0]
+    sums = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    for tree in store.trees():
+        if not oob:
+            sums += tree_predict(tree, X)
+        elif tree.oob.size:
+            sums[tree.oob] += tree_predict(tree, X[tree.oob])
+            counts[tree.oob] += 1
+    return sums, counts

@@ -72,6 +72,7 @@ class TestCorrelate:
                 assert -1.0 <= float(rho) <= 1.0
 
     def test_predictor_major_order(self, extracted):
+        assert run("correlate", "--out", str(extracted), *SMALL_SYNTH) == 0
         lines = (extracted / "correlations.csv").read_text().splitlines()[1:]
         predictors = [line.split(",")[0] for line in lines]
         assert predictors[0] == "log_elev_mean"

@@ -367,10 +367,25 @@ class TestEvaluateAll:
         gi = report.groups.index("TP")
         assert redo.rmse == report.rmse[ti, gi]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_design_matches_standalone_pairs(self, workers):
+        # evaluate_all slices every pair's design from one ranked 75-column
+        # matrix; a standalone cross_validate builds and ranks its own
+        records = synthetic_records(24, seed=26)
+        params = ForestParams(n_trees=8)
+        report = evaluate_all(records, params, seed=27, k=3, workers=workers)
+        for gi, group in enumerate(report.groups):
+            for ti, target in enumerate(report.targets):
+                alone = cross_validate(records, target, group, params=params,
+                                       seed=27, folds=report.folds)
+                assert alone.rmse == report.rmse[ti, gi], (target, group)
+                if group == report.prediction_group:
+                    assert alone.predictions.tobytes() == report.predicted[target].tobytes()
+
     def test_exact_static_fit_gives_undefined_relative_scores(self, monkeypatch,
                                                               tmp_path):
         def exact_static_fit(records, target, group, params=None, seed=0,
-                             folds=None):
+                             folds=None, design=None):
             y = target_vector(records, target)
             pred = y if (group, target) == ("S", "entropy") else y + 1.0
             return CrossValResult(pred, rmse(pred, y))

@@ -71,7 +71,8 @@ def _outputs(data, params, seed):
 def _assert_matches_oracle(data, params, seed, monkeypatch):
     kernel = _outputs(data, params, seed)
     with monkeypatch.context() as patch:
-        patch.setattr(forest, "_grow", forest_oracle.grow_tree)
+        patch.setattr(forest, "_grow_forest", forest_oracle.grow_forest)
+        patch.setattr(forest, "_descend_forest", forest_oracle.descend_forest)
         patch.setattr(forest, "_descend", forest_oracle.tree_predict)
         oracle = _outputs(data, params, seed)
     for key in oracle:
