@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, read_attributes
+from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, check_window, read_attributes
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
 from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table
@@ -102,11 +102,24 @@ class RunConfig:
             )
         if self.synthetic_catchments < 1 or self.synthetic_years < 1:
             raise ConfigError("synthetic dataset size must be positive")
-        if not self.synthetic:
+        # a degree-1 Loess fit needs a span of at least 3; trend and low-pass
+        # spans are rounded up to the next odd integer
+        if self.seasonal_span != PERIODIC and (
+                self.seasonal_span < 3 or self.seasonal_span % 2 == 0):
+            raise ConfigError(f"seasonal span must be {PERIODIC!r} or an odd integer "
+                              f">= 3, got {self.seasonal_span}")
+        for name in ("trend_span", "lowpass_span"):
+            span = getattr(self, name)
+            if span is not None and span < 2:
+                raise ConfigError(f"{name.replace('_', ' ')} must be >= 2, got {span}")
+        if any(span < 1 for span in self.entropy_spans):
+            raise ConfigError(f"entropy spans must be >= 1, got {self.entropy_spans}")
+        if not self.synthetic:  # the synthetic set brings its own window
             if self.series_dir is None or self.attributes_file is None:
                 raise ConfigError(
                     "--series-dir and --attributes are required without --synthetic"
                 )
+            check_window(self.ingest_config())
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(

@@ -31,7 +31,7 @@ from .engine import (
     collect_results,
     parallel_map,
 )
-from .errors import IncompleteRecord, ParseError, UnknownAttribute
+from .errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
 from .series import TimeSeries
 
 logger = logging.getLogger(__name__)
@@ -96,6 +96,14 @@ def _window_offsets(config: IngestConfig) -> np.ndarray:
                 if 0 <= offset < keep.size:
                     keep[offset] = False
     return np.flatnonzero(keep)
+
+
+def check_window(config: IngestConfig) -> None:
+    """Raise ConfigError when the window holds no day to ingest: ``end``
+    before ``start``, or nothing but a Feb 29 that leap-day removal drops."""
+    if not _window_offsets(config).size:
+        raise ConfigError(f"the window {config.start} to {config.end} holds no day"
+                          + (" once Feb 29 is dropped" if config.drop_leap_days else ""))
 
 
 def expected_dates(config: IngestConfig) -> list[datetime.date]:
@@ -314,6 +322,7 @@ def load_dataset(
     """
     config = config or IngestConfig()
     check_policy(config.policy)
+    check_window(config)
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
     loaded = parallel_map(_load_catchment, ids, config.workers,

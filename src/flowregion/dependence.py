@@ -22,6 +22,9 @@ PACF_FEATURES = ("x_pacf5", "diff1x_pacf5", "diff2x_pacf5", "seas_pacf")
 #: lags added at a time while the ACF is searched for its first zero crossing
 _ACF_BLOCK = 32
 
+#: the first-zero search stops at this many seasonal periods
+_FIRSTZERO_SCAN_FACTOR = 2
+
 
 def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
     xc = x - x.mean()
@@ -84,11 +87,10 @@ def pacf(x, max_lag: int) -> np.ndarray:
     return pacf_from_acf(acf(x, max_lag))
 
 
-def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2, *,
-                    return_acf: bool = False):
+def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
     """The eight autocorrelation features of one standardized series.
 
-    ``firstzero_ac`` scans to min(n-1, scan_factor * period) and returns that
+    ``firstzero_ac`` scans to min(n-1, 2 * period) and returns that
     bound when the ACF never crosses zero, which keeps the feature total.
     With ``return_acf`` the result is ``(features, r)``, where ``r`` is the
     ACF at lags 1..m for some m >= max(period, 10), for
@@ -99,7 +101,7 @@ def acf_feature_set(z: StandardizedSeries, scan_factor: int = 2, *,
     n = x.size
     if n < 2 * p + 2:
         raise TooShort(f"need length >= {2 * p + 2} for the ACF feature set, got {n}")
-    cap = min(n - 1, scan_factor * p)
+    cap = min(n - 1, _FIRSTZERO_SCAN_FACTOR * p)
     r = acf(x, max(p, 10))
     if r.size < cap and not (r <= 0.0).any():
         # lags past the first non-positive one are never read: extend block
@@ -150,9 +152,15 @@ def pacf_feature_set(z: StandardizedSeries, r: np.ndarray | None = None) -> dict
 
 
 def _modified_daniell(values: np.ndarray, span: int) -> np.ndarray:
-    """One modified-Daniell smoothing pass with reflection at the ends."""
-    if span < 1 or span >= values.size:
-        raise ValueError(f"Daniell span {span} invalid for {values.size} ordinates")
+    """One modified-Daniell smoothing pass with reflection at the ends.
+
+    A span below 1 is a caller error (ValueError); a span of at least the
+    number of ordinates is a series too short for it (TooShort).
+    """
+    if span < 1:
+        raise ValueError(f"Daniell span must be >= 1, got {span}")
+    if span >= values.size:
+        raise TooShort(f"Daniell span {span} needs more than {values.size} ordinates")
     kernel = np.full(2 * span + 1, 1.0 / (2 * span))
     kernel[0] = kernel[-1] = 0.5 / (2 * span)
     padded = np.concatenate([values[span:0:-1], values, values[-2 : -span - 2 : -1]])

@@ -57,16 +57,11 @@ def flat_spots(z: StandardizedSeries, bins: int = 10) -> int:
     return int(np.diff(edges).max())
 
 
-def tiled_windows(
-    z: StandardizedSeries, width: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tile means and sample variances over floor(n/width) non-overlapping
-    tiles of ``width`` points; the trailing remainder is discarded. Default
-    width is the seasonal period."""
+def tiled_windows(z: StandardizedSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile means and sample variances over floor(n/period) non-overlapping
+    tiles of one seasonal period each; the trailing remainder is discarded."""
     x = z.values
-    w = int(width) if width is not None else z.period
-    if w < 1:
-        raise ValueError("tile width must be positive")
+    w = z.period
     n_windows = x.size // w
     if n_windows < 2:
         raise TooShort(f"need at least 2 tiles of width {w}, got length {x.size}")
@@ -74,9 +69,9 @@ def tiled_windows(
     return tiles.mean(axis=1), tiles.var(axis=1, ddof=1)
 
 
-def tiled_stats(z: StandardizedSeries, width: int | None = None) -> dict[str, float]:
+def tiled_stats(z: StandardizedSeries) -> dict[str, float]:
     """stability = variance of tile means; lumpiness = variance of tile variances."""
-    means, variances = tiled_windows(z, width)
+    means, variances = tiled_windows(z)
     return {
         "stability": float(means.var(ddof=1)),
         "lumpiness": float(variances.var(ddof=1)),

@@ -1,4 +1,11 @@
-"""Orchestration of the 28-feature vector and batch extraction over catchments."""
+"""Orchestration of the 28-feature vector and batch extraction over catchments.
+
+:class:`FeatureConfig` holds the four estimator options a run may set: the
+Daniell spans of the spectral entropy and the three STL spans. Every other
+convention is fixed in its feature module: the first-zero ACF scan stops at
+twice the period, lumpiness and stability tile the series by the period, and
+the decomposition runs two non-robust passes.
+"""
 
 from __future__ import annotations
 
@@ -34,17 +41,12 @@ _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 @dataclass
 class FeatureConfig:
-    """Estimator knobs; the defaults are the pinned conventions."""
+    """Estimator options; the defaults are the pinned conventions."""
 
     entropy_spans: tuple[int, ...] = (3, 3)
-    firstzero_scan_factor: int = 2
-    tile_width: int | None = None  # None -> seasonal period
     seasonal_span: int | str = decomposition.PERIODIC
     trend_span: int | None = None  # None -> 2 * period + 1
     lowpass_span: int | None = None  # None -> next odd >= period
-    stl_inner_iterations: int = 2
-    stl_outer_iterations: int = 0
-    shape_harmonics: int = 2  # Fourier smoothing of the seasonal shape for peak/trough
 
 
 @dataclass
@@ -102,8 +104,7 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     """
     cfg = config or FeatureConfig()
     z = _step("standardize", lambda: standardize(validate(series)))
-    out, r = _step("acf features", lambda: dependence.acf_feature_set(
-        z, scan_factor=cfg.firstzero_scan_factor, return_acf=True))
+    out, r = _step("acf features", lambda: dependence.acf_feature_set(z, return_acf=True))
     out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z, r)))
     out["std1st_der"] = _step("std1st_der", lambda: distributional.std1st_der(z))
     out["crossing_points"] = _step(
@@ -111,18 +112,11 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     out["entropy"] = _step("entropy", lambda: dependence.spectral_entropy(
         z, smooth_spans=cfg.entropy_spans))
     out["flat_spots"] = _step("flat_spots", lambda: float(distributional.flat_spots(z)))
-    out.update(_step("tiled stats", lambda: distributional.tiled_stats(
-        z, width=cfg.tile_width)))
+    out.update(_step("tiled stats", lambda: distributional.tiled_stats(z)))
     out["nonlinearity"] = _step("nonlinearity", lambda: distributional.nonlinearity(z))
     out.update(_step("decomposition features", lambda: decomposition.stl_feature_set(
-        z,
-        shape_harmonics=cfg.shape_harmonics,
-        seasonal_span=cfg.seasonal_span,
-        trend_span=cfg.trend_span,
-        lowpass_span=cfg.lowpass_span,
-        inner_iterations=cfg.stl_inner_iterations,
-        outer_iterations=cfg.stl_outer_iterations,
-    ).as_dict()))
+        z, seasonal_span=cfg.seasonal_span, trend_span=cfg.trend_span,
+        lowpass_span=cfg.lowpass_span).as_dict()))
     return _step("feature vector", lambda: FeatureVector.from_dict(out))
 
 

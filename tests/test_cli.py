@@ -56,9 +56,27 @@ class TestExtract:
         assert run("extract", "--out", str(tmp_path / "o")) == 4
 
     @pytest.mark.parametrize("bad", [("--seasonal-span", "wide"),
-                                     ("--entropy-spans", "3,x")])
+                                     ("--entropy-spans", "3,x"),
+                                     ("--seasonal-span", "4"),
+                                     ("--seasonal-span", "1"),
+                                     ("--seasonal-span", "-7"),
+                                     ("--trend-span", "-5"),
+                                     ("--trend-span", "1"),
+                                     ("--lowpass-span", "-3"),
+                                     ("--lowpass-span", "0"),
+                                     ("--entropy-spans", "0"),
+                                     ("--entropy-spans", "3,-1")])
     def test_bad_span_exits_4(self, tmp_path, bad):
         assert run("extract", "--out", str(tmp_path / "o"), *SMALL_SYNTH, *bad) == 4
+
+    @pytest.mark.parametrize("start, end", [("2000-01-02", "2000-01-01"),
+                                            ("2000-02-29", "2000-02-29")])
+    def test_empty_window_exits_4(self, tmp_path, start, end, capsys):
+        code = run("extract", "--series-dir", str(tmp_path),
+                   "--attributes", str(tmp_path / "attributes.csv"),
+                   "--out", str(tmp_path / "o"), "--start", start, "--end", end)
+        assert code == 4
+        assert "holds no day" in capsys.readouterr().err
 
 
 class TestCorrelate:
@@ -195,8 +213,8 @@ OUTPUT_FILES = ("features.csv", "exclusions.csv", "correlations.csv",
 #: sha256 over every output file of the five commands, run in order into one
 #: relative --out; config.json records the worker count, so each count has one.
 GOLDEN_PIPELINE_SHA256 = {
-    1: "e45784776b922d64d362ec51b1692dee03471809e0cd7b9d06039f301bd45734",
-    2: "35ca11485e32e70a6574f41cfb605eb7cbc09206035a386a94b40df9ffec8511",
+    1: "6c7c02a4f37232c30ae5e1d59f05900870dc4017b088dbad0ba7202a72067943",
+    2: "278f7fc1502e76935e16a11c7ff773674c48a32e7e72390666b701e7b37b2702",
 }
 
 

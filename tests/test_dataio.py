@@ -15,7 +15,7 @@ from flowregion.dataio import (
     STATIC_ATTRIBUTES,
 )
 from flowregion.engine import extract_features
-from flowregion.errors import IncompleteRecord, ParseError, UnknownAttribute
+from flowregion.errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
 from flowregion.series import TimeSeries
 
 from conftest import sine
@@ -374,6 +374,14 @@ class TestLoadDataset:
         (series_dir / "gamma_tmin.csv").unlink()
         with pytest.raises(IncompleteRecord):
             load_dataset(series_dir, attributes, small_config(policy="strict"))
+
+    @pytest.mark.parametrize("start, end", [((2000, 1, 2), (2000, 1, 1)),
+                                            ((2000, 2, 29), (2000, 2, 29))])
+    def test_empty_window_rejected_before_any_work(self, tmp_path, start, end):
+        # neither input exists: the window is checked before either is read
+        cfg = small_config(start=datetime.date(*start), end=datetime.date(*end))
+        with pytest.raises(ConfigError, match="holds no day"):
+            load_dataset(tmp_path / "series", tmp_path / "attributes.csv", cfg)
 
     def test_extraction_failure_excludes_catchment(self, dataset):
         series_dir, attributes, _ = dataset

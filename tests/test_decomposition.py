@@ -5,7 +5,7 @@ from flowregion.decomposition import (
     Decomposition,
     _leave_one_out_variances,
     _orthonormal_time_polynomials,
-    _solve_windows,
+    _tricube,
     _window_operator,
     loess_smooth,
     stl_decompose,
@@ -43,14 +43,6 @@ class TestLoess:
         smoothed = loess_smooth(y, 101, degree=1)
         assert smoothed.std() < 0.5 * y.std()
 
-    def test_robustness_weights_downweight_outlier(self):
-        y = np.zeros(61)
-        y[30] = 50.0
-        w = np.ones(61)
-        w[30] = 0.0
-        smoothed = loess_smooth(y, 31, degree=1, robustness_weights=w)
-        assert abs(smoothed[30]) <= 1e-8
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             loess_smooth(np.arange(10.0), 4)  # even span
@@ -58,6 +50,40 @@ class TestLoess:
             loess_smooth(np.arange(10.0), 3, degree=3)
         with pytest.raises(ValueError):
             loess_smooth(np.arange(10.0), 1, degree=1)  # span < degree + 1
+
+
+def _solve_windows(y, lo, centers, q, d_max, degree):
+    """Weighted local-polynomial fits for one batch of windows.
+
+    Returns the fitted value at each center. Windows are index ranges
+    [lo, lo + q) on the regular grid; d_max is the tricube scale per window.
+    """
+    idx = lo[:, None] + np.arange(q)[None, :]
+    t = idx - centers[:, None]
+    w = _tricube(np.abs(t) / np.where(d_max > 0, d_max, 1.0)[:, None])
+    wsum = w.sum(axis=1)
+    if np.any(wsum <= 0.0):
+        raise SingularFit("all weights vanished inside a local regression window")
+    yw = y[idx]
+    if degree == 0:
+        return (w * yw).sum(axis=1) / wsum
+    tf = t.astype(np.float64)
+    powers = [np.ones_like(tf)]
+    for _ in range(2 * degree):
+        powers.append(powers[-1] * tf)
+    moments = [(w * p).sum(axis=1) for p in powers]
+    rhs = np.stack(
+        [(w * powers[a] * yw).sum(axis=1) for a in range(degree + 1)], axis=1
+    )
+    a_mat = np.empty((lo.size, degree + 1, degree + 1))
+    for a in range(degree + 1):
+        for b in range(degree + 1):
+            a_mat[:, a, b] = moments[a + b]
+    try:
+        coefs = np.linalg.solve(a_mat, rhs[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        raise SingularFit(f"singular local regression system: {exc}") from exc
+    return coefs[:, 0, 0]
 
 
 def direct_loess(y, span, degree):
@@ -71,14 +97,17 @@ def direct_loess(y, span, degree):
     chunk = max(1, 2_000_000 // q)
     return np.concatenate([
         _solve_windows(y, lo[s : s + chunk], centers[s : s + chunk], q,
-                       d_max[s : s + chunk], degree, None)
+                       d_max[s : s + chunk], degree)
         for s in range(0, n, chunk)
     ])
 
 
 class TestLoessOperator:
-    @pytest.mark.parametrize("n", [40, 3650, 12410])
-    @pytest.mark.parametrize("span", [3, 11, 365, 731])
+    # spans 1,415 and 2,001 (and 20,001 >= n = 3,000) are too wide to cache:
+    # their hat-matrix rows are built block by block on every call
+    @pytest.mark.parametrize("n, span", [
+        (n, span) for n in (40, 3650, 12410) for span in (3, 11, 365, 731, 1415, 2001)
+    ] + [(3000, 20001), (3650, 3651)])
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_matches_direct_window_solves(self, n, span, degree):
         rng = np.random.default_rng(n + span + degree)
@@ -165,14 +194,6 @@ class TestStlDecompose:
         dec = stl_decompose(StandardizedSeries(x, period=50), seasonal_span=7)
         np.testing.assert_allclose(
             dec.trend + dec.seasonal + dec.remainder, x, atol=1e-8
-        )
-
-    def test_outer_iterations_supported(self):
-        x = zscore(sine(1460, noise_sd=0.2, seed=4))
-        x[700] += 8.0  # outlier the robustness pass should shrug off
-        robust = stl_decompose(StandardizedSeries(x, period=365), outer_iterations=1)
-        np.testing.assert_allclose(
-            robust.trend + robust.seasonal + robust.remainder, x, atol=1e-8
         )
 
 

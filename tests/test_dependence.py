@@ -174,6 +174,14 @@ class TestSpectralEntropy:
         with pytest.raises(TooShort):
             spectral_entropy(np.arange(10.0))
 
+    def test_daniell_span_checks(self):
+        x = white_noise(1095, seed=3)  # 547 periodogram ordinates
+        with pytest.raises(TooShort):
+            spectral_entropy(x, smooth_spans=(547,))
+        with pytest.raises(ValueError):
+            spectral_entropy(x, smooth_spans=(0,))
+        assert 0.0 <= spectral_entropy(x, smooth_spans=(546,)) <= 1.0
+
     def test_shift_scale_invariance(self, rng):
         x = rng.normal(size=512)
         assert spectral_entropy(3.0 * x + 7.0) == pytest.approx(

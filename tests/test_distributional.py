@@ -134,26 +134,25 @@ class TestTiledStats:
 
     def test_two_window_definition(self, rng):
         x = rng.normal(size=100)
-        z = StandardizedSeries(x, period=10)
-        stats = tiled_stats(z, width=50)
+        stats = tiled_stats(StandardizedSeries(x, period=50))
         halves = np.array([x[:50].mean(), x[50:].mean()])
         assert stats["stability"] == pytest.approx(halves.var(ddof=1), abs=1e-12)
 
     def test_trailing_window_discarded(self, rng):
         x = rng.normal(size=103)
-        full = tiled_stats(StandardizedSeries(x), width=25)
-        truncated = tiled_stats(StandardizedSeries(x[:100]), width=25)
+        full = tiled_stats(StandardizedSeries(x, period=25))
+        truncated = tiled_stats(StandardizedSeries(x[:100], period=25))
         assert full == truncated
 
     def test_nonnegative(self, rng):
-        stats = tiled_stats(StandardizedSeries(rng.normal(size=120)), width=20)
+        stats = tiled_stats(StandardizedSeries(rng.normal(size=120), period=20))
         assert stats["stability"] >= 0 and stats["lumpiness"] >= 0
 
     def test_window_bookkeeping(self, rng):
-        means, _ = tiled_windows(StandardizedSeries(rng.normal(size=107)), width=20)
+        means, _ = tiled_windows(StandardizedSeries(rng.normal(size=107), period=20))
         assert means.size == 5
         with pytest.raises(TooShort):
-            tiled_windows(StandardizedSeries(rng.normal(size=30)), width=20)
+            tiled_windows(StandardizedSeries(rng.normal(size=30), period=20))
 
 
 class TestNonlinearity:

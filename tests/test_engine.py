@@ -165,6 +165,16 @@ class TestExtractBatch:
             assert exc.reason.startswith("NonFinite in feature vector")
             assert "nonlinearity" in exc.reason
 
+    def test_too_wide_daniell_span_excludes_only_that_series(self):
+        # 547 periodogram ordinates at 3 years, 1,824 at 10 years
+        tasks = [("c00", "streamflow", TimeSeries(sine(1095, noise_sd=0.3, seed=1))),
+                 ("c01", "streamflow", TimeSeries(sine(3650, noise_sd=0.3, seed=2)))]
+        rows, exclusions = extract_batch(tasks, FeatureConfig(entropy_spans=(600,)),
+                                         policy="drop")
+        assert [r.catchment_id for r in rows] == ["c01"]
+        assert [e.catchment_id for e in exclusions] == ["c00"]
+        assert exclusions[0].reason.startswith("TooShort in entropy")
+
     def test_strict_policy_raises(self):
         with pytest.raises(ExtractionFailed):
             extract_batch(_batch_tasks(2, bad=("c00", "temperature")), policy="strict")
