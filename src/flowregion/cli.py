@@ -4,7 +4,12 @@ Subcommands: extract | correlate | importance | crossval | report. Every
 command is a pure function of (inputs, config): reruns with the same seed and
 inputs produce byte-identical output files. ``--synthetic`` generates the
 bundled 60-catchment synthetic dataset so the whole pipeline runs without
-external data.
+external data; it brings its own window, so ``--start``/``--end`` are refused
+with it.
+
+Each option is declared once: :class:`RunConfig` holds the CLI's own options
+and carries an :class:`IngestConfig`, which carries a :class:`FeatureConfig`.
+Each config checks its own values when it is built.
 
 Exit codes: 0 success, 2 input error, 3 extraction error, 4 config error.
 """
@@ -22,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, check_window, read_attributes
+from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, read_attributes
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
 from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table
@@ -59,10 +64,13 @@ EXIT_CONFIG = 4
 #: Written next to features.csv; names the inputs and options it came from.
 FINGERPRINT_FILE = "features.fingerprint.json"
 
+#: The CLI's --workers default: one worker per core.
+DEFAULT_WORKERS = max(1, os.cpu_count() or 1)
+
 
 @dataclasses.dataclass
 class RunConfig:
-    """Every option of a run; the parser adds no default of its own."""
+    """The options only the CLI has, plus the run's ingest options."""
 
     command: str
     output_dir: Path
@@ -71,30 +79,35 @@ class RunConfig:
     seed: int = 42
     trees: int = 2000
     folds: int = 10
-    period: int = 365
-    workers: int = max(1, os.cpu_count() or 1)
     groups: tuple[str, ...] | list[str] = GROUP_NAMES  # a list from --group
-    policy: str = "drop"
     synthetic: bool = False
     synthetic_catchments: int = 60
     synthetic_years: int = 10
-    start: datetime.date = datetime.date(1980, 1, 1)
-    end: datetime.date = datetime.date(2013, 12, 31)
-    log_transform: bool = False
-    seasonal_span: int | str = PERIODIC
-    trend_span: int | None = None
-    lowpass_span: int | None = None
-    entropy_spans: tuple[int, ...] = (3, 3)
+    ingest: IngestConfig = dataclasses.field(
+        default_factory=lambda: IngestConfig(workers=DEFAULT_WORKERS))
+
+    @classmethod
+    def from_options(cls, options: dict) -> RunConfig:
+        """Split parsed options between FeatureConfig, IngestConfig and
+        RunConfig by field name; an option left out keeps its default."""
+        options = {"workers": DEFAULT_WORKERS, **options}
+        if options.get("synthetic") and {"start", "end"} & options.keys():
+            raise ConfigError("--start/--end cannot be combined with --synthetic: "
+                              "the synthetic set brings its own window")
+
+        def take(config_cls) -> dict:
+            return {f.name: options.pop(f.name)
+                    for f in dataclasses.fields(config_cls) if f.name in options}
+
+        ingest = IngestConfig(**take(IngestConfig),
+                              feature_config=FeatureConfig(**take(FeatureConfig)))
+        return cls(**options, ingest=ingest)
 
     def validate(self) -> None:
         if self.trees < 1:
             raise ConfigError(f"trees must be >= 1, got {self.trees}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.period < 2:
-            raise ConfigError(f"period must be >= 2, got {self.period}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         bad = [g for g in self.groups if g not in GROUP_NAMES]
         if bad:
             raise ConfigError(
@@ -102,43 +115,8 @@ class RunConfig:
             )
         if self.synthetic_catchments < 1 or self.synthetic_years < 1:
             raise ConfigError("synthetic dataset size must be positive")
-        # a degree-1 Loess fit needs a span of at least 3; trend and low-pass
-        # spans are rounded up to the next odd integer
-        if self.seasonal_span != PERIODIC and (
-                self.seasonal_span < 3 or self.seasonal_span % 2 == 0):
-            raise ConfigError(f"seasonal span must be {PERIODIC!r} or an odd integer "
-                              f">= 3, got {self.seasonal_span}")
-        for name in ("trend_span", "lowpass_span"):
-            span = getattr(self, name)
-            if span is not None and span < 2:
-                raise ConfigError(f"{name.replace('_', ' ')} must be >= 2, got {span}")
-        if any(span < 1 for span in self.entropy_spans):
-            raise ConfigError(f"entropy spans must be >= 1, got {self.entropy_spans}")
-        if not self.synthetic:  # the synthetic set brings its own window
-            if self.series_dir is None or self.attributes_file is None:
-                raise ConfigError(
-                    "--series-dir and --attributes are required without --synthetic"
-                )
-            check_window(self.ingest_config())
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            entropy_spans=self.entropy_spans,
-            seasonal_span=self.seasonal_span,
-            trend_span=self.trend_span,
-            lowpass_span=self.lowpass_span,
-        )
-
-    def ingest_config(self) -> IngestConfig:
-        return IngestConfig(
-            start=self.start,
-            end=self.end,
-            period=self.period,
-            log_transform=self.log_transform,
-            policy=self.policy,
-            workers=self.workers,
-            feature_config=self.feature_config(),
-        )
+        if not self.synthetic and (self.series_dir is None or self.attributes_file is None):
+            raise ConfigError("--series-dir and --attributes are required without --synthetic")
 
     def forest_params(self) -> ForestParams:
         return ForestParams(n_trees=self.trees)
@@ -171,7 +149,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in COMMANDS.items():
-        # options left out stay out of the namespace: RunConfig holds the defaults
+        # options left out stay out of the namespace: the configs hold the defaults
         cmd = sub.add_parser(name, help=help_text,
                              argument_default=argparse.SUPPRESS)
         cmd.add_argument("--series-dir", type=Path)
@@ -207,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _synthetic_spec(cfg: RunConfig) -> synthetic.SyntheticSpec:
     return synthetic.SyntheticSpec(n_catchments=cfg.synthetic_catchments,
-                                   n_years=cfg.synthetic_years, period=cfg.period)
+                                   n_years=cfg.synthetic_years, period=cfg.ingest.period)
 
 
 def _resolve_inputs(cfg: RunConfig) -> RunConfig:
@@ -219,24 +197,10 @@ def _resolve_inputs(cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(
         cfg, series_dir=series_dir,
         attributes_file=cfg.attributes_file or series_dir / "attributes.csv",
-        start=datetime.date(spec.start_year, 1, 1),
-        end=datetime.date(spec.start_year + spec.n_years - 1, 12, 31),
+        ingest=dataclasses.replace(
+            cfg.ingest, start=datetime.date(spec.start_year, 1, 1),
+            end=datetime.date(spec.start_year + spec.n_years - 1, 12, 31)),
     )
-
-
-def _prepare_inputs(cfg: RunConfig) -> RunConfig:
-    """Resolve input paths, generating the synthetic dataset when asked."""
-    cfg = _resolve_inputs(cfg)
-    if cfg.synthetic:
-        synthetic.generate(cfg.series_dir, cfg.attributes_file,
-                           seed=child_seed(cfg.seed, "synthetic"),
-                           spec=_synthetic_spec(cfg))
-        return cfg
-    if not Path(cfg.attributes_file).exists():
-        raise ParseError(f"attributes file not found: {cfg.attributes_file}")
-    if not Path(cfg.series_dir).is_dir():
-        raise ParseError(f"series directory not found: {cfg.series_dir}")
-    return cfg
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -257,7 +221,7 @@ def _fingerprint(cfg: RunConfig) -> str:
             digest.update(f"\0{path.name}\0".encode())
             if path.exists():
                 digest.update(path.read_bytes())
-    ingest = dataclasses.asdict(cfg.ingest_config())
+    ingest = dataclasses.asdict(cfg.ingest)
     del ingest["workers"]  # never changes the table
     payload = {
         "ingest": ingest,
@@ -272,11 +236,20 @@ def _fingerprint(cfg: RunConfig) -> str:
 
 
 def _extract_records(cfg: RunConfig):
+    """Generate the synthetic dataset when asked, else check that the inputs
+    exist; then write features.csv, exclusions.csv and the fingerprint."""
+    if cfg.synthetic:
+        synthetic.generate(cfg.series_dir, cfg.attributes_file,
+                           seed=child_seed(cfg.seed, "synthetic"),
+                           spec=_synthetic_spec(cfg))
+    elif not Path(cfg.attributes_file).exists():
+        raise ParseError(f"attributes file not found: {cfg.attributes_file}")
+    elif not Path(cfg.series_dir).is_dir():
+        raise ParseError(f"series directory not found: {cfg.series_dir}")
     fingerprint = _fingerprint(cfg)
     stamp = cfg.output_dir / FINGERPRINT_FILE
     stamp.unlink(missing_ok=True)  # no stamp may outlive the table it described
-    records, exclusions = _load_dataset(cfg.series_dir, cfg.attributes_file,
-                                        cfg.ingest_config())
+    records, exclusions = _load_dataset(cfg.series_dir, cfg.attributes_file, cfg.ingest)
     rows = [
         FeatureRow(r.catchment_id, variable, r.features(variable))
         for r in records
@@ -296,7 +269,6 @@ def _extract_records(cfg: RunConfig):
 def _obtain_records(cfg: RunConfig):
     """Reuse features.csv when its fingerprint matches the current inputs and
     options, else extract again."""
-    cfg = _resolve_inputs(cfg)
     stamp = cfg.output_dir / FINGERPRINT_FILE
     if not (cfg.output_dir / "features.csv").exists():
         reason = "no features.csv"
@@ -309,12 +281,12 @@ def _obtain_records(cfg: RunConfig):
     else:
         rows = read_feature_table(cfg.output_dir / "features.csv")
         records = assemble_rows(rows, read_attributes(cfg.attributes_file,
-                                                      cfg.log_transform))
+                                                      cfg.ingest.log_transform))
         if records:
             return records
         reason = "features.csv holds no complete record"
     logger.info("extracting features under %s: %s", cfg.output_dir, reason)
-    return _extract_records(_prepare_inputs(cfg))
+    return _extract_records(cfg)
 
 
 def _correlate(cfg: RunConfig, records) -> None:
@@ -324,13 +296,13 @@ def _correlate(cfg: RunConfig, records) -> None:
 
 def _importance(cfg: RunConfig, records) -> None:
     reports = importance_all(records, cfg.forest_params(), seed=cfg.seed,
-                             workers=cfg.workers)
+                             workers=cfg.ingest.workers)
     write_importance(cfg.output_dir / "importance.csv", reports)
 
 
 def _crossval(cfg: RunConfig, records) -> None:
     report = evaluate_all(records, cfg.forest_params(), seed=cfg.seed,
-                          k=cfg.folds, groups=cfg.groups, workers=cfg.workers)
+                          k=cfg.folds, groups=cfg.groups, workers=cfg.ingest.workers)
     write_evaluation(cfg.output_dir / "evaluation.json", report)
     write_pred_vs_obs(cfg.output_dir / "pred_vs_obs.csv", report)
 
@@ -352,11 +324,12 @@ COMMANDS = {
 
 
 def _run(cfg: RunConfig) -> int:
+    cfg = _resolve_inputs(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg)
     analysis = COMMANDS[cfg.command][1]
     if analysis is None:
-        _extract_records(_prepare_inputs(cfg))
+        _extract_records(cfg)
     else:
         analysis(cfg, _obtain_records(cfg))
     return EXIT_OK
@@ -366,7 +339,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = RunConfig(**vars(_parser().parse_args(argv)))
+        cfg = RunConfig.from_options(vars(_parser().parse_args(argv)))
         cfg.validate()
         return _run(cfg)
     except ConfigError as exc:

@@ -7,6 +7,10 @@ Input layout: one delimited text file per (catchment, variable) named
 ``catchment_id`` column and the 19 static attribute columns. Catchments whose
 series files are missing, malformed or short of complete coverage of the
 configured window are dropped with a logged reason.
+
+Feb 29 is always dropped, so every year holds 365 days. :class:`IngestConfig`
+raises :class:`ConfigError` when it is built with a bad value: a period below
+2, fewer than one worker, an unknown policy or a window that holds no day.
 """
 
 from __future__ import annotations
@@ -58,11 +62,20 @@ class IngestConfig:
     start: datetime.date = datetime.date(1980, 1, 1)
     end: datetime.date = datetime.date(2013, 12, 31)
     period: int = 365
-    drop_leap_days: bool = True
     log_transform: bool = False  # apply log10 to the LOG_ATTRIBUTES on read
     policy: str = "drop"  # "drop" or "strict" for failing catchments
     workers: int = 1
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+
+    def __post_init__(self):
+        if self.period < 2:
+            raise ConfigError(f"period must be >= 2, got {self.period}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_policy(self.policy)
+        if not _window_offsets(self).size:
+            raise ConfigError(f"the window {self.start} to {self.end} holds no day "
+                              "once Feb 29 is dropped")
 
 
 @dataclass
@@ -85,29 +98,20 @@ def _is_leap(year):
 
 
 def _window_offsets(config: IngestConfig) -> np.ndarray:
-    """Day offsets from ``config.start`` of every calendar day of the window,
-    minus Feb 29 when leap days drop."""
+    """Day offsets from ``config.start`` of every calendar day of the window
+    but Feb 29."""
     start = config.start.toordinal()
     keep = np.ones(max(0, config.end.toordinal() - start + 1), dtype=bool)
-    if config.drop_leap_days:
-        for year in range(config.start.year, config.end.year + 1):
-            if _is_leap(year):
-                offset = datetime.date(year, 2, 29).toordinal() - start
-                if 0 <= offset < keep.size:
-                    keep[offset] = False
+    for year in range(config.start.year, config.end.year + 1):
+        if _is_leap(year):
+            offset = datetime.date(year, 2, 29).toordinal() - start
+            if 0 <= offset < keep.size:
+                keep[offset] = False
     return np.flatnonzero(keep)
 
 
-def check_window(config: IngestConfig) -> None:
-    """Raise ConfigError when the window holds no day to ingest: ``end``
-    before ``start``, or nothing but a Feb 29 that leap-day removal drops."""
-    if not _window_offsets(config).size:
-        raise ConfigError(f"the window {config.start} to {config.end} holds no day"
-                          + (" once Feb 29 is dropped" if config.drop_leap_days else ""))
-
-
 def expected_dates(config: IngestConfig) -> list[datetime.date]:
-    """Every calendar day of the window, minus Feb 29 when leap days drop."""
+    """Every calendar day of the window but Feb 29."""
     return [config.start + datetime.timedelta(days=int(offset))
             for offset in _window_offsets(config)]
 
@@ -315,14 +319,12 @@ def load_dataset(
     """Ingest a dataset directory into catchment records with features.
 
     Temperature is the elementwise mean of the tmin and tmax series. Every
-    series must cover the configured window completely (after leap-day
-    removal) and parse; catchments violating this are excluded with a logged
-    reason under policy "drop" and abort the load under policy "strict".
+    series must cover the configured window completely (Feb 29 aside) and
+    parse; catchments violating this are excluded with a logged reason under
+    policy "drop" and abort the load under policy "strict".
     Each catchment is read and extracted as one job of ``config.workers``.
     """
     config = config or IngestConfig()
-    check_policy(config.policy)
-    check_window(config)
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
     loaded = parallel_map(_load_catchment, ids, config.workers,

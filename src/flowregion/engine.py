@@ -1,10 +1,11 @@
 """Orchestration of the 28-feature vector and batch extraction over catchments.
 
 :class:`FeatureConfig` holds the four estimator options a run may set: the
-Daniell spans of the spectral entropy and the three STL spans. Every other
-convention is fixed in its feature module: the first-zero ACF scan stops at
-twice the period, lumpiness and stability tile the series by the period, and
-the decomposition runs two non-robust passes.
+Daniell spans of the spectral entropy and the three STL spans; a bad span
+raises :class:`ConfigError` when the config is built. Every other convention
+is fixed in its feature module: the first-zero ACF scan stops at twice the
+period, lumpiness and stability tile the series by the period, and the
+decomposition runs two non-robust passes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomposition, dependence, distributional
-from .errors import ExtractionFailed, FlowRegionError, NonFinite, NonIntegral
+from .errors import ConfigError, ExtractionFailed, FlowRegionError, NonFinite, NonIntegral
 from .series import TimeSeries, standardize, validate
 
 logger = logging.getLogger(__name__)
@@ -47,6 +48,20 @@ class FeatureConfig:
     seasonal_span: int | str = decomposition.PERIODIC
     trend_span: int | None = None  # None -> 2 * period + 1
     lowpass_span: int | None = None  # None -> next odd >= period
+
+    def __post_init__(self):
+        # a degree-1 Loess fit needs a span of at least 3; trend and low-pass
+        # spans are rounded up to the next odd integer
+        if self.seasonal_span != decomposition.PERIODIC and (
+                self.seasonal_span < 3 or self.seasonal_span % 2 == 0):
+            raise ConfigError(f"seasonal span must be {decomposition.PERIODIC!r} or an "
+                              f"odd integer >= 3, got {self.seasonal_span}")
+        for name in ("trend_span", "lowpass_span"):
+            span = getattr(self, name)
+            if span is not None and span < 2:
+                raise ConfigError(f"{name.replace('_', ' ')} must be >= 2, got {span}")
+        if any(span < 1 for span in self.entropy_spans):
+            raise ConfigError(f"entropy spans must be >= 1, got {self.entropy_spans}")
 
 
 @dataclass
@@ -177,7 +192,7 @@ def _extract_task(config, task):
 def check_policy(policy: str) -> None:
     """Reject a batch policy other than "strict" and "drop"."""
     if policy not in ("strict", "drop"):
-        raise ValueError(f"unknown batch policy {policy!r}")
+        raise ConfigError(f"unknown batch policy {policy!r}")
 
 
 def collect_results(

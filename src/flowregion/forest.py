@@ -266,6 +266,8 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
         raise ValueError(f"mtry must be in [1, {p}], got {mtry}")
     if params.min_node_size < 1:
         raise ValueError(f"min_node_size must be at least 1, got {params.min_node_size}")
+    if params.n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {params.n_trees}")
 
     store = _grow_forest(
         data.X, data.ranks, data.y, mtry, params.min_node_size, params.n_trees,

@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import logging
 import shutil
+from pathlib import Path
 
 import pytest
 
 from flowregion import cli
 from flowregion.cli import main
-from flowregion.engine import FEATURE_NAMES
+from flowregion.dataio import IngestConfig
+from flowregion.engine import FEATURE_NAMES, FeatureConfig
 
 
 def run(*args):
@@ -47,10 +50,30 @@ class TestExtract:
                    "--out", str(tmp_path / "o"))
         assert code == 2
 
-    def test_bad_config_exits_4(self, tmp_path):
-        code = run("extract", "--out", str(tmp_path / "o"), *SMALL_SYNTH,
-                   "--trees", "0")
-        assert code == 4
+    @pytest.mark.parametrize("bad", [("--trees", "0"), ("--period", "1"),
+                                     ("--workers", "0")])
+    def test_bad_config_exits_4(self, tmp_path, bad):
+        assert run("extract", "--out", str(tmp_path / "o"), *SMALL_SYNTH, *bad) == 4
+
+    @pytest.mark.parametrize("window", [("--end", "1979-01-01"),
+                                        ("--start", "1994-01-01"),
+                                        ("--start", "1994-01-01", "--end", "1996-12-31")])
+    def test_window_with_synthetic_exits_4(self, tmp_path, window, capsys):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *SMALL_SYNTH, *window) == 4
+        assert "--synthetic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_records_resolved_synthetic_inputs(self, extracted):
+        config = json.loads((extracted / "config.json").read_text())
+        data = extracted / "synthetic_data"
+        assert config["series_dir"] == str(data)
+        assert config["attributes_file"] == str(data / "attributes.csv")
+        assert (config["ingest"]["start"], config["ingest"]["end"]) == ("1994-01-01",
+                                                                      "1996-12-31")
+        fingerprint = json.loads((extracted / cli.FINGERPRINT_FILE).read_text())
+        window = {key: fingerprint["ingest"][key] for key in ("start", "end")}
+        assert window == {key: config["ingest"][key] for key in ("start", "end")}
 
     def test_missing_inputs_without_synthetic_exits_4(self, tmp_path):
         assert run("extract", "--out", str(tmp_path / "o")) == 4
@@ -77,6 +100,27 @@ class TestExtract:
                    "--out", str(tmp_path / "o"), "--start", start, "--end", end)
         assert code == 4
         assert "holds no day" in capsys.readouterr().err
+
+
+class TestRunConfig:
+    def test_each_option_is_declared_once(self):
+        names = [f.name for cls in (cli.RunConfig, IngestConfig, FeatureConfig)
+                 for f in dataclasses.fields(cls)]
+        assert len(names) == len(set(names))
+
+    def test_options_reach_their_config(self):
+        cfg = cli.RunConfig.from_options({
+            "command": "extract", "output_dir": Path("o"), "trees": 5, "period": 300,
+            "policy": "strict", "trend_span": 801, "entropy_spans": ()})
+        assert cfg.trees == 5
+        assert (cfg.ingest.period, cfg.ingest.policy) == (300, "strict")
+        assert cfg.ingest.workers == cli.DEFAULT_WORKERS
+        assert cfg.ingest.feature_config == FeatureConfig(trend_span=801, entropy_spans=())
+
+    def test_defaults(self):
+        cfg = cli.RunConfig.from_options({"command": "extract", "output_dir": Path("o")})
+        assert cfg == cli.RunConfig("extract", Path("o"))
+        assert cfg.ingest == IngestConfig(workers=cli.DEFAULT_WORKERS)
 
 
 class TestCorrelate:
@@ -213,8 +257,8 @@ OUTPUT_FILES = ("features.csv", "exclusions.csv", "correlations.csv",
 #: sha256 over every output file of the five commands, run in order into one
 #: relative --out; config.json records the worker count, so each count has one.
 GOLDEN_PIPELINE_SHA256 = {
-    1: "6c7c02a4f37232c30ae5e1d59f05900870dc4017b088dbad0ba7202a72067943",
-    2: "278f7fc1502e76935e16a11c7ff773674c48a32e7e72390666b701e7b37b2702",
+    1: "b1b485ed0fa11843b3d66365e28658cea2a63f7111bd6f3453502a050d3ceb79",
+    2: "b85f164d706086e2337297b3e826904f75d29cbcb191d03a7cb4c3d59aa97ccf",
 }
 
 

@@ -111,15 +111,25 @@ class TestExpectedDates:
         days = expected_dates(cfg)
         assert len(days) == 34 * 365 == 12410
 
-    def test_leap_days_kept_when_disabled(self):
-        cfg = IngestConfig(drop_leap_days=False)
-        # nine leap years between 1980 and 2013
-        assert len(expected_dates(cfg)) == 12410 + 9
-
     def test_no_feb_29(self):
         days = expected_dates(small_config())
         assert datetime.date(2000, 2, 29) not in days
         assert len(days) == 3 * 365
+
+
+class TestIngestConfig:
+    @pytest.mark.parametrize("bad, message", [
+        ({"period": 1}, "period must be >= 2"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"policy": "bogus"}, "unknown batch policy"),
+        ({"start": datetime.date(2000, 1, 2), "end": datetime.date(2000, 1, 1)},
+         "holds no day"),
+        ({"start": datetime.date(2000, 2, 29), "end": datetime.date(2000, 2, 29)},
+         "holds no day"),
+    ])
+    def test_bad_value_rejected_on_construction(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            IngestConfig(**bad)
 
 
 def oracle_read_series_file(path):
@@ -224,9 +234,8 @@ VARIANTS = ("plain", "unsorted", "nan_inside", "inf_inside", "nan_outside", "gap
 
 
 class TestReadSeriesFile:
-    @pytest.mark.parametrize("drop_leap_days", [True, False])
     @pytest.mark.parametrize("name", VARIANTS)
-    def test_agrees_with_per_line_parser(self, tmp_path, name, drop_leap_days):
+    def test_agrees_with_per_line_parser(self, tmp_path, name):
         path = tmp_path / "c_streamflow.csv"
         path.write_bytes(variant(name).encode())
         parsed = read_series_file(path)
@@ -234,7 +243,7 @@ class TestReadSeriesFile:
         assert len(parsed) == len(reference)
         assert [datetime.date.fromordinal(int(d)) for d in parsed["day"]] == list(reference)
         assert parsed["value"].tobytes() == np.array(list(reference.values())).tobytes()
-        cfg = small_config(drop_leap_days=drop_leap_days)
+        cfg = small_config()
         new = outcome(lambda: dataio._window_values(
             read_series_file(path), cfg, dataio._window_offsets(cfg), "c/streamflow"))
         old = outcome(lambda: oracle_window_values(
@@ -379,8 +388,8 @@ class TestLoadDataset:
                                             ((2000, 2, 29), (2000, 2, 29))])
     def test_empty_window_rejected_before_any_work(self, tmp_path, start, end):
         # neither input exists: the window is checked before either is read
-        cfg = small_config(start=datetime.date(*start), end=datetime.date(*end))
         with pytest.raises(ConfigError, match="holds no day"):
+            cfg = small_config(start=datetime.date(*start), end=datetime.date(*end))
             load_dataset(tmp_path / "series", tmp_path / "attributes.csv", cfg)
 
     def test_extraction_failure_excludes_catchment(self, dataset):

@@ -15,8 +15,8 @@ from flowregion.engine import (
     read_feature_table,
     write_feature_table,
 )
-from flowregion import distributional
-from flowregion.errors import ExtractionFailed, NonFinite
+from flowregion import distributional, engine
+from flowregion.errors import ConfigError, ExtractionFailed, NonFinite
 from flowregion.series import TimeSeries
 
 from conftest import ar1, daily_series, sine, white_noise
@@ -174,6 +174,21 @@ class TestExtractBatch:
         assert [r.catchment_id for r in rows] == ["c01"]
         assert [e.catchment_id for e in exclusions] == ["c00"]
         assert exclusions[0].reason.startswith("TooShort in entropy")
+
+    @pytest.mark.parametrize("bad", [{"seasonal_span": 4}, {"seasonal_span": 1},
+                                     {"trend_span": 1}, {"lowpass_span": 0},
+                                     {"entropy_spans": (3, 0)}])
+    def test_bad_span_rejected_before_any_work(self, monkeypatch, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a series was extracted")
+
+        monkeypatch.setattr(engine, "parallel_map", no_work)
+        with pytest.raises(ConfigError, match="span"):
+            extract_batch(_batch_tasks(2), FeatureConfig(**bad), policy="drop")
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="policy"):
+            extract_batch(_batch_tasks(1), policy="bogus")
 
     def test_strict_policy_raises(self):
         with pytest.raises(ExtractionFailed):

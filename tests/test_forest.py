@@ -59,6 +59,12 @@ class TestFit:
         with pytest.raises(TooShort):
             fit(data, ForestParams(min_node_size=5))
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_forest_without_trees_rejected(self, n_trees):
+        data = make_design(30, 2, 0)
+        with pytest.raises(ValueError, match="n_trees"):
+            fit(data, ForestParams(n_trees=n_trees))
+
     def test_determinism_same_seed(self):
         data = make_design(80, 5, 3, signal=lambda X, rng: X[:, 0] + rng.normal(size=80))
         probe = np.random.default_rng(9).normal(size=(20, 5))
