@@ -3,12 +3,21 @@
 Thirteen of the twenty-eight features live here: the ACF family on the raw
 and differenced series, the PACF family, the seasonal lag-365 statistics and
 the spectral entropy of the periodogram.
+
+The lag sums of the ACF and the Durbin-Levinson recursion of the PACF run in
+the compiled kernel ``_acf.c``, built by :mod:`flowregion.native` on first
+use. Each of their sums adds its terms in one fixed order, so these features
+do not depend on the BLAS library or its thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
+from . import native
 from .errors import LagTooLarge, NumericalSingularity, TooShort, ZeroVariance
 from .series import StandardizedSeries, difference
 
@@ -26,23 +35,41 @@ _ACF_BLOCK = 32
 _FIRSTZERO_SCAN_FACTOR = 2
 
 
-def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=None)
+def _kernel() -> ctypes.CDLL:
+    lib = native.load(native.ACF_SOURCE)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.lag_sums.argtypes = [ptr, i64, i64, i64, ptr]
+    lib.lag_sums.restype = None
+    lib.durbin_levinson.argtypes = [ptr, i64, ptr, ptr, ptr]
+    lib.durbin_levinson.restype = i64
+    return lib
+
+
+def _lag_sums(xc: np.ndarray, first: int, last: int) -> np.ndarray:
+    """sum_t xc[t] * xc[t+k] at lags k = first..last (last < xc.size), in
+    chunks of 128 terms: see ``lag_sums`` in ``_acf.c``."""
+    xc = np.ascontiguousarray(xc, dtype=np.float64)
+    if xc.ndim != 1 or not 0 <= first <= last < xc.size:
+        raise ValueError(f"lags {first}..{last} out of range for {xc.shape} values")
+    out = np.empty(last - first + 1)
+    _kernel().lag_sums(xc.ctypes.data, xc.size, first, last, out.ctypes.data)
+    return out
+
+
+def _autocorrelations(x: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """r_1..r_max_lag of x, its centred values and their sum of squares."""
+    n = x.size
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    if max_lag >= n:
+        raise LagTooLarge(f"max_lag {max_lag} >= series length {n}")
     xc = x - x.mean()
-    denom = float(xc @ xc)
+    sums = _lag_sums(xc, 0, max_lag)
+    denom = float(sums[0])
     if denom <= 0.0:
         raise ZeroVariance("autocorrelation undefined for a constant series")
-    return xc, denom
-
-
-def _acf_lags(xc: np.ndarray, denom: float, first: int, last: int) -> np.ndarray:
-    """r_k at lags first..last of the centred series xc, whose sum of squares
-    is denom."""
-    n = xc.size
-    r = np.empty(last - first + 1)
-    for k in range(first, last + 1):
-        r[k - first] = xc[: n - k] @ xc[k:]
-    r /= denom
-    return r
+    return sums[1:] / denom, xc, denom
 
 
 def acf(x, max_lag: int) -> np.ndarray:
@@ -53,32 +80,23 @@ def acf(x, max_lag: int) -> np.ndarray:
     The divide-by-n convention keeps the sequence positive semidefinite, so
     |r_k| <= 1 and the Durbin-Levinson recursion in :func:`pacf` is stable.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    if max_lag >= n:
-        raise LagTooLarge(f"max_lag {max_lag} >= series length {n}")
-    return _acf_lags(*_centred(x), 1, max_lag)
+    return _autocorrelations(np.asarray(x, dtype=np.float64), max_lag)[0]
 
 
 def pacf_from_acf(r: np.ndarray) -> np.ndarray:
     """Durbin-Levinson recursion mapping autocorrelations to partials."""
-    m = r.size
-    phi = np.empty(m)
-    a = np.empty(m)  # current AR(k) coefficients
-    phi[0] = a[0] = r[0]
-    for k in range(2, m + 1):
-        num = r[k - 1] - a[: k - 1] @ r[k - 2 :: -1]
-        den = 1.0 - a[: k - 1] @ r[: k - 1]
-        if abs(den) < 1e-12:
-            raise NumericalSingularity(
-                f"Durbin-Levinson denominator {den:.3e} at order {k}"
-            )
-        pk = num / den
-        a[: k - 1] = a[: k - 1] - pk * a[k - 2 :: -1]
-        a[k - 1] = pk
-        phi[k - 1] = pk
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if r.ndim != 1 or r.size == 0:
+        raise ValueError(f"need a non-empty 1-d autocorrelation sequence, got shape {r.shape}")
+    phi = np.empty(r.size)
+    work = np.empty(r.size)
+    den = ctypes.c_double()
+    order = _kernel().durbin_levinson(r.ctypes.data, r.size, phi.ctypes.data,
+                                      work.ctypes.data, ctypes.byref(den))
+    if order:
+        raise NumericalSingularity(
+            f"Durbin-Levinson denominator {den.value:.3e} at order {order}"
+        )
     return phi
 
 
@@ -102,15 +120,15 @@ def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
     if n < 2 * p + 2:
         raise TooShort(f"need length >= {2 * p + 2} for the ACF feature set, got {n}")
     cap = min(n - 1, _FIRSTZERO_SCAN_FACTOR * p)
-    r = acf(x, max(p, 10))
+    r, xc, denom = _autocorrelations(x, max(p, 10))
     if r.size < cap and not (r <= 0.0).any():
         # lags past the first non-positive one are never read: extend block
         # by block towards the cap only until one appears
-        xc, denom = _centred(x)
         blocks, lags = [r], r.size
         while lags < cap and not (blocks[-1] <= 0.0).any():
-            blocks.append(_acf_lags(xc, denom, lags + 1, min(cap, lags + _ACF_BLOCK)))
-            lags += blocks[-1].size
+            last = min(cap, lags + _ACF_BLOCK)
+            blocks.append(_lag_sums(xc, lags + 1, last) / denom)
+            lags = last
         r = np.concatenate(blocks)
     d1 = difference(x, 1)
     d2 = difference(x, 2)
@@ -136,7 +154,7 @@ def pacf_feature_set(z: StandardizedSeries, r: np.ndarray | None = None) -> dict
 
     ``r`` is the ACF of ``z`` at lags 1..m for some m >= period, as
     :func:`acf_feature_set` returns it; it is computed when not given. Each
-    r_k is the same dot product at any m, so the result does not depend on m.
+    r_k is the same fixed-order sum at any m, so the result does not depend on m.
     """
     x = z.values
     p = z.period

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomposition, dependence, distributional
-from .errors import ConfigError, ExtractionFailed, FlowRegionError, NonFinite, NonIntegral
+from .errors import (
+    ConfigError,
+    ExtractionFailed,
+    FlowRegionError,
+    KernelBuildError,
+    NonFinite,
+    NonIntegral,
+)
 from .series import TimeSeries, standardize, validate
 
 logger = logging.getLogger(__name__)
@@ -52,16 +59,24 @@ class FeatureConfig:
     def __post_init__(self):
         # a degree-1 Loess fit needs a span of at least 3; trend and low-pass
         # spans are rounded up to the next odd integer
-        if self.seasonal_span != decomposition.PERIODIC and (
-                self.seasonal_span < 3 or self.seasonal_span % 2 == 0):
+        if self.seasonal_span != decomposition.PERIODIC and not (
+                _is_int(self.seasonal_span) and self.seasonal_span >= 3
+                and self.seasonal_span % 2 == 1):
             raise ConfigError(f"seasonal span must be {decomposition.PERIODIC!r} or an "
-                              f"odd integer >= 3, got {self.seasonal_span}")
+                              f"odd integer >= 3, got {self.seasonal_span!r}")
         for name in ("trend_span", "lowpass_span"):
             span = getattr(self, name)
-            if span is not None and span < 2:
-                raise ConfigError(f"{name.replace('_', ' ')} must be >= 2, got {span}")
-        if any(span < 1 for span in self.entropy_spans):
-            raise ConfigError(f"entropy spans must be >= 1, got {self.entropy_spans}")
+            if span is not None and not (_is_int(span) and span >= 2):
+                raise ConfigError(f"{name.replace('_', ' ')} must be an integer >= 2, "
+                                  f"got {span!r}")
+        if not (isinstance(self.entropy_spans, tuple)
+                and all(_is_int(span) and span >= 1 for span in self.entropy_spans)):
+            raise ConfigError(f"entropy spans must be a tuple of integers >= 1, "
+                              f"got {self.entropy_spans!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -104,9 +119,9 @@ class FeatureVector:
 def _step(label: str, fn):
     try:
         return fn()
+    except (ExtractionFailed, KernelBuildError):
+        raise
     except FlowRegionError as exc:
-        if isinstance(exc, ExtractionFailed):
-            raise
         raise ExtractionFailed(label, exc) from exc
 
 
@@ -185,6 +200,8 @@ def _extract_task(config, task):
         cause = exc.cause if exc.cause is not None else exc
         reason = f"{type(cause).__name__} in {exc.feature}: {cause}"
         return catchment_id, variable, None, reason
+    except KernelBuildError:
+        raise  # no series can be extracted: abort the batch under any policy
     except FlowRegionError as exc:
         return catchment_id, variable, None, f"{type(exc).__name__}: {exc}"
 

@@ -1,8 +1,10 @@
-"""Build and load the compiled tree kernel, ``_tree.c``, on first use.
+"""Build and load the package's compiled kernels on first use.
 
-The kernel is compiled with the C compiler Python was built with (sysconfig
-``CC``) and fixed flags, and cached under this package's ``__pycache__``. The
-cached file is named by the sha256 of the source, the compiler command, the
+There are two C sources: the tree kernel ``_tree.c`` (:mod:`flowregion.forest`)
+and the autocorrelation kernel ``_acf.c`` (:mod:`flowregion.dependence`). Each
+is compiled with the C compiler Python was built with (sysconfig ``CC``) and
+fixed flags, and cached under this package's ``__pycache__``. The cached file
+is named by the sha256 of the source, the compiler command, the
 flags and the compiler's ``--version`` output, so an edited source or another
 compiler is never served a stale build. A build writes a temporary file and
 renames it into place, so processes that build at once each load a complete
@@ -23,10 +25,11 @@ from pathlib import Path
 from .errors import KernelBuildError
 
 SOURCE = Path(__file__).with_name("_tree.c")
+ACF_SOURCE = Path(__file__).with_name("_acf.c")
 CACHE = Path(__file__).with_name("__pycache__")
 
-#: No -ffast-math or -march=native: the kernel must keep numpy's IEEE
-#: arithmetic step for step, and -ffp-contract=off forbids fused multiply-adds.
+#: No -ffast-math or -march=native: the kernels must keep IEEE arithmetic
+#: step for step, and -ffp-contract=off forbids fused multiply-adds.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -69,5 +72,5 @@ def build(source: Path = SOURCE, cache: Path = CACHE) -> Path:
 
 
 def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL:
-    """The kernel library, built first if needed."""
+    """The kernel library built from ``source``, built first if needed."""
     return ctypes.CDLL(str(build(source, cache)))

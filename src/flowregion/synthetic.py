@@ -149,6 +149,7 @@ def generate(series_dir, attributes_file, seed: int = 7,
     series_dir.mkdir(parents=True, exist_ok=True)
     Path(attributes_file).parent.mkdir(parents=True, exist_ok=True)
     days, grid = _calendar(spec)
+    dates = [day.isoformat() + "," for day in days]
     ids = [f"synth{i:03d}" for i in range(spec.n_catchments)]
     with open(attributes_file, "w", encoding="utf-8", newline="\n") as attr_fh:
         attr_fh.write("catchment_id," + ",".join(STATIC_ATTRIBUTES) + "\n")
@@ -165,8 +166,5 @@ def generate(series_dir, attributes_file, seed: int = 7,
                 daily = values[grid]
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write("date,value\n")
-                    fh.writelines(
-                        f"{day.isoformat()},{float(v)!r}\n"
-                        for day, v in zip(days, daily)
-                    )
+                    fh.writelines(f"{date}{v!r}\n" for date, v in zip(dates, daily.tolist()))
     return ids

@@ -186,6 +186,14 @@ class TestExtractBatch:
         with pytest.raises(ConfigError, match="span"):
             extract_batch(_batch_tasks(2), FeatureConfig(**bad), policy="drop")
 
+    @pytest.mark.parametrize("bad", [{"seasonal_span": "wide"}, {"seasonal_span": 7.0},
+                                     {"seasonal_span": True}, {"trend_span": "x"},
+                                     {"lowpass_span": 9.0}, {"entropy_spans": 3},
+                                     {"entropy_spans": (3.5,)}, {"entropy_spans": [3, 3]}])
+    def test_wrongly_typed_span_is_a_config_error(self, bad):
+        with pytest.raises(ConfigError, match="span"):
+            FeatureConfig(**bad)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="policy"):
             extract_batch(_batch_tasks(1), policy="bogus")

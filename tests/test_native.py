@@ -1,4 +1,4 @@
-"""Building and caching the compiled tree kernel."""
+"""Building and caching the compiled kernels, and shipping their sources."""
 
 import os
 import subprocess
@@ -110,3 +110,12 @@ def test_compile_error_carries_compiler_stderr(tmp_path):
         native.build(source, tmp_path / "cache")
     assert "error" in info.value.stderr
     assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_every_c_source_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    listed = pyproject["tool"]["setuptools"]["package-data"]["flowregion"]
+    sources = sorted(p.name for p in native.SOURCE.parent.glob("*.c"))
+    assert {native.SOURCE.name, native.ACF_SOURCE.name} <= set(sources)
+    assert sorted(listed) == sources
