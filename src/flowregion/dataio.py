@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dependence
 from .engine import (
     Exclusion,
     FeatureConfig,
@@ -327,6 +328,7 @@ def load_dataset(
     config = config or IngestConfig()
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
+    dependence._kernel()  # workers inherit it; a failed build stops here, before any fork
     loaded = parallel_map(_load_catchment, ids, config.workers,
                           shared=(Path(series_dir), config))
     rows, exclusions = collect_results(

@@ -9,10 +9,21 @@ twenty-eight features derive from the result.
 
 The Loess smoother exploits the regular time grid. Each fit is a fixed linear
 combination of the window's values: interior windows share one kernel, so
-they collapse to a single convolution, and the asymmetric boundary windows
-use hat-matrix rows that depend only on the window length and degree. Those
-rows are built once per process and cached; for windows too wide to cache
-they are built block by block on every call.
+they collapse to a single convolution, computed as a product of real FFTs at
+the power of two >= n, and the asymmetric boundary windows use hat-matrix
+rows that depend only on the window length and degree. Those rows and the
+kernel's spectrum are built once per process and cached; for windows too wide
+to cache the rows are built block by block on every call.
+
+No feature depends on the BLAS thread count. The Loess interior is an FFT
+(numpy's pocketfft, one thread); each boundary fit is one hat-matrix row
+times one window, so one thread computes each output; and the long dot
+products here (``linearity``, ``curvature``, ``spike``) are numpy pairwise
+sums (:func:`flowregion.series.pairwise_dot`), as are those of
+``nonlinearity`` (one Gram-Schmidt sweep) and of the spectral entropy. The
+only BLAS calls left in feature extraction are the boundary rows, their
+small solves, the spectral entropy's Daniell smoothing (2 * span + 1 terms
+per output, 7 by default) and dot products of at most ten terms.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import numpy as np
 
 from .dependence import acf
 from .errors import DegenerateVariance, SingularFit, TooShort
-from .series import StandardizedSeries
+from .series import StandardizedSeries, pairwise_dot
 
 STL_FEATURES = (
     "trend", "spike", "linearity", "curvature", "e_acf1", "e_acf10",
@@ -124,14 +135,23 @@ def _window_operator(q: int, span: int, degree: int) -> np.ndarray:
     """Read-only hat-matrix rows of all q windows that cover y[:q].
 
     The rows do not depend on the data or on the series length, so they are
-    built once per (q, span, degree) and reused. With q < n, span == q: the
-    first and last (q - 1) // 2 rows serve the boundary windows and the
-    middle row is the interior convolution kernel. With q == n every row is
-    used.
+    built once per (q, span, degree) and reused. With q < n, span == q and
+    the first and last (q - 1) // 2 rows serve the boundary windows. With
+    q == n every row is used.
     """
     op = _hat_rows(q, span, degree, np.arange(q))
     op.flags.writeable = False
     return op
+
+
+@functools.lru_cache(maxsize=8)
+def _interior_spectrum(q: int, span: int, degree: int, size: int) -> np.ndarray:
+    """Read-only rfft, at length ``size``, of the reversed interior kernel:
+    the hat-matrix row of the centre of a window of q points."""
+    kernel = _hat_rows(q, span, degree, np.array([(q - 1) // 2]))[0]
+    spectrum = np.fft.rfft(kernel[::-1], size)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def loess_smooth(y, span: int, degree: int = 1) -> np.ndarray:
@@ -176,8 +196,12 @@ def loess_smooth(y, span: int, degree: int = 1) -> np.ndarray:
         return fit(0, n, y)
     out = np.empty(n)
     out[:half] = fit(0, half, y[:q])
-    kernel = op[half] if op is not None else _hat_rows(q, span, degree, np.array([half]))[0]
-    out[half : n - half] = np.convolve(y, kernel[::-1], mode="valid")
+    # the interior fits are the valid part of the convolution of y with the
+    # reversed kernel; a circular convolution of length >= n wraps only into
+    # its first q - 1 terms
+    size = 1 << (n - 1).bit_length()
+    product = np.fft.rfft(y, size) * _interior_spectrum(q, span, degree, size)
+    out[half : n - half] = np.fft.irfft(product, size)[q - 1 : n]
     out[n - half :] = fit(q - half, q, y[n - q :])
     return out
 
@@ -239,7 +263,7 @@ def _leave_one_out_variances(values: np.ndarray) -> np.ndarray:
     if n < 3:
         raise TooShort("leave-one-out variances need at least three points")
     total = values.sum()
-    total_sq = values @ values
+    total_sq = pairwise_dot(values, values)
     rest = total - values
     return (total_sq - values * values - rest * rest / (n - 1)) / (n - 2)
 
@@ -253,10 +277,10 @@ def _orthonormal_time_polynomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.arange(1.0, n + 1.0)
     q0 = np.full(n, 1.0 / np.sqrt(n))
     v1 = t - t.mean()
-    q1 = v1 / np.linalg.norm(v1)
+    q1 = v1 / np.sqrt(pairwise_dot(v1, v1))
     t2 = t * t
-    v2 = t2 - (q0 @ t2) * q0 - (q1 @ t2) * q1
-    q2 = v2 / np.linalg.norm(v2)
+    v2 = t2 - pairwise_dot(q0, t2) * q0 - pairwise_dot(q1, t2) * q1
+    q2 = v2 / np.sqrt(pairwise_dot(v2, v2))
     return q1, q2
 
 
@@ -298,8 +322,8 @@ def stl_feature_set(z: StandardizedSeries, **stl_options) -> StlFeatureSet:
 
     spike = float(_leave_one_out_variances(remainder).var(ddof=1))
     q1, q2 = _orthonormal_time_polynomials(n)
-    linearity = float(q1 @ trend)
-    curvature = float(q2 @ trend)
+    linearity = pairwise_dot(q1, trend)
+    curvature = pairwise_dot(q2, trend)
 
     rem_acf = acf(remainder, 10)
     peak, trough = _shape_positions(seasonal, dec.period)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import native
 from .errors import LagTooLarge, NumericalSingularity, TooShort, ZeroVariance
-from .series import StandardizedSeries, difference
+from .series import StandardizedSeries, difference, pairwise_dot
 
 ACF_FEATURES = (
     "x_acf1", "x_acf10", "diff1_acf1", "diff1_acf10", "diff2_acf1",
@@ -110,9 +110,10 @@ def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
 
     ``firstzero_ac`` scans to min(n-1, 2 * period) and returns that
     bound when the ACF never crosses zero, which keeps the feature total.
-    With ``return_acf`` the result is ``(features, r)``, where ``r`` is the
-    ACF at lags 1..m for some m >= max(period, 10), for
-    :func:`pacf_feature_set`.
+    With ``return_acf`` the result is ``(features, acfs)`` for
+    :func:`pacf_feature_set`: ``acfs`` holds the ACF of the series at lags
+    1..m for some m >= max(period, 10), and those of its first and second
+    differences at lags 1..10.
     """
     x = z.values
     p = z.period
@@ -146,21 +147,26 @@ def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
         "seas_acf1": float(r[p - 1]),
         "firstzero_ac": float(firstzero),
     }
-    return (features, r) if return_acf else features
+    return (features, (r, r1, r2)) if return_acf else features
 
 
-def pacf_feature_set(z: StandardizedSeries, r: np.ndarray | None = None) -> dict[str, float]:
+def pacf_feature_set(z: StandardizedSeries, acfs=None) -> dict[str, float]:
     """The four partial-autocorrelation features of one standardized series.
 
-    ``r`` is the ACF of ``z`` at lags 1..m for some m >= period, as
-    :func:`acf_feature_set` returns it; it is computed when not given. Each
-    r_k is the same fixed-order sum at any m, so the result does not depend on m.
+    ``acfs`` holds the ACFs of ``z`` (at lags 1..m for some m >= period) and
+    of its first and second differences (at lags 1..m' for some m' >= 5), as
+    :func:`acf_feature_set` returns them; they are computed when not given.
+    Each r_k is the same fixed-order sum at any maximum lag, so the result
+    does not depend on m or m'.
     """
     x = z.values
     p = z.period
-    phi = pacf_from_acf(acf(x, p) if r is None else r[:p])
-    phi1 = pacf(difference(x, 1), 5)
-    phi2 = pacf(difference(x, 2), 5)
+    if acfs is None:
+        acfs = acf(x, p), acf(difference(x, 1), 5), acf(difference(x, 2), 5)
+    r, r1, r2 = acfs
+    phi = pacf_from_acf(r[:p])
+    phi1 = pacf_from_acf(r1[:5])
+    phi2 = pacf_from_acf(r2[:5])
     return {
         "x_pacf5": float(phi[:5] @ phi[:5]),
         "diff1x_pacf5": float(phi1 @ phi1),
@@ -205,4 +211,6 @@ def spectral_entropy(z, smooth_spans: tuple[int, ...] = (3, 3)) -> float:
         pgram = _modified_daniell(pgram, span)
     probs = pgram / pgram.sum()
     probs = probs[probs > 0.0]
-    return float(-(probs @ np.log(probs)) / np.log(pgram.size))
+    # a flat spectrum has entropy log(size) exactly; rounding must not lift
+    # the ratio above 1
+    return min(1.0, -pairwise_dot(probs, np.log(probs)) / float(np.log(pgram.size)))

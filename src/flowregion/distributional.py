@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateRange, SingularDesign, TooShort
-from .series import StandardizedSeries, difference
+from .series import StandardizedSeries, difference, pairwise_dot
 
 DISTRIBUTIONAL_FEATURES = (
     "std1st_der", "crossing_points", "flat_spots", "lumpiness", "stability",
@@ -15,6 +15,10 @@ DISTRIBUTIONAL_FEATURES = (
 #: A linear-fit residual sum of squares below this share of y'y is rounding
 #: (1e-32 to 1e-28 for exact recursions), not a fit to explain.
 _EXACT_FIT = 1e-20
+
+#: A regressor whose remainder, after the sweep removes the columns before
+#: it, is below this share of its own length lies in their span.
+_DEPENDENT = 1e-10
 
 
 def std1st_der(z: StandardizedSeries) -> float:
@@ -85,34 +89,63 @@ def nonlinearity(z: StandardizedSeries) -> float:
     residuals on the same terms plus all second- and third-order monomials of
     (x_{t-1}, x_{t-2}). With R^2 from that auxiliary fit the chi-squared
     statistic is n * R^2; the returned value is 10 * statistic / n.
+
+    Both fits come from one modified Gram-Schmidt sweep over the regressors
+    with y carried along as the last column (Bjorck 1967). The sweep takes
+    1, x_{t-1} and d = x_{t-1} - x_{t-2} first, then the seven monomials of
+    degree two and three in (x_{t-1}, d): they span the same space as those in
+    (x_{t-1}, x_{t-2}), but stay far from collinear for a smooth flow, where
+    x_{t-2} is close to x_{t-1}. The linear residual sum of squares is that of
+    y's remainder after the first three columns, and the auxiliary fit
+    explains the squares of y's coefficients on the seven later ones, so R^2
+    carries no cancellation. A regressor that lies in the span of those
+    before it is skipped: R^2 is the projection onto the span of the design
+    even when it is rank-deficient, as for a series quantised to a few levels.
     """
     x = z.values
     n = x.size
     if n < 20:
         raise TooShort("nonlinearity needs at least twenty points")
-    y = x[2:]
-    z1 = x[1:-1]
-    z2 = x[:-2]
-    ones = np.ones_like(y)
-    linear = np.column_stack([ones, z1, z2])
-    coef, _, rank, _ = np.linalg.lstsq(linear, y, rcond=None)
-    resid = y - linear @ coef
-    ssr0 = float(resid @ resid)
-    if ssr0 < _EXACT_FIT * float(y @ y):
-        # an exact linear recursion (a noiseless sine, a ramp) leaves only
-        # rounding; its statistic is zero by continuity, even where the lag
-        # regressors are collinear
-        return 0.0
-    if rank < linear.shape[1]:
-        raise SingularDesign("collinear lag regressors in the nonlinearity test")
-    aux = np.column_stack([
-        ones, z1, z2,
-        z1 * z1, z1 * z2, z2 * z2,
-        z1 ** 3, z1 * z1 * z2, z1 * z2 * z2, z2 ** 3,
-    ])
-    # the fitted values, and so R^2, are unique even for a rank-deficient
-    # design, such as a series quantised to a few levels
-    coef2 = np.linalg.lstsq(aux, resid, rcond=None)[0]
-    resid2 = resid - aux @ coef2
-    r_squared = 1.0 - float(resid2 @ resid2) / ssr0
-    return float(max(0.0, 10.0 * r_squared))
+    z1 = x[1:-1].copy()
+    d = z1 - x[:-2]
+    z11 = z1 * z1
+    dd = d * d
+    # swept in place (so z1 and y are copies), one column at a time, which
+    # keeps each in cache
+    regressors = [np.ones(n - 2), z1, d, z11, z1 * d, dd,
+                  z11 * z1, z11 * d, z1 * dd, dd * d]
+    y = x[2:].copy()
+    yy = pairwise_dot(y, y)
+    lengths = [np.sqrt(pairwise_dot(v, v)) for v in regressors]
+    scratch = np.empty(n - 2)
+    independent = 0
+    explained = 0.0
+    for k, v in enumerate(regressors):
+        if k == 3:
+            ssr0 = pairwise_dot(y, y)
+            if ssr0 < _EXACT_FIT * yy:
+                # an exact linear recursion (a noiseless sine, a ramp) leaves
+                # only rounding; its statistic is zero by continuity, even
+                # where the lag regressors are collinear
+                return 0.0
+            if independent < 3:
+                raise SingularDesign("collinear lag regressors in the nonlinearity test")
+        length = np.sqrt(pairwise_dot(v, v))
+        if length <= _DEPENDENT * lengths[k]:
+            continue
+        q = v / length
+        for w in regressors[k + 1 :]:
+            _remove_component(w, q, scratch)
+        coef = _remove_component(y, q, scratch)
+        independent += 1
+        if k >= 3:
+            explained += coef * coef
+    return min(10.0, 10.0 * explained / ssr0)
+
+
+def _remove_component(w: np.ndarray, q: np.ndarray, scratch: np.ndarray) -> float:
+    """Subtract from ``w``, in place, its component along the unit vector
+    ``q``, and return that component's coefficient q'w."""
+    coef = np.multiply(w, q, out=scratch).sum()
+    w -= np.multiply(q, coef, out=scratch)
+    return float(coef)

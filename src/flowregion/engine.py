@@ -134,8 +134,8 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     """
     cfg = config or FeatureConfig()
     z = _step("standardize", lambda: standardize(validate(series)))
-    out, r = _step("acf features", lambda: dependence.acf_feature_set(z, return_acf=True))
-    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z, r)))
+    out, acfs = _step("acf features", lambda: dependence.acf_feature_set(z, return_acf=True))
+    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z, acfs)))
     out["std1st_der"] = _step("std1st_der", lambda: distributional.std1st_der(z))
     out["crossing_points"] = _step(
         "crossing_points", lambda: float(distributional.crossing_points(z)))
@@ -260,6 +260,7 @@ def extract_batch(
     under policy="drop" failing records become logged exclusions.
     """
     check_policy(policy)
+    dependence._kernel()  # workers inherit it; a failed build stops here, before any fork
     ordered = sorted(tasks, key=lambda t: (t[0], t[1]))
     return collect_results(parallel_map(_extract_task, ordered, workers, shared=config),
                            policy)

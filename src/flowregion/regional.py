@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import forest
 from .dataio import ANALYSIS_VARIABLES, STATIC_ATTRIBUTES, CatchmentRecord
 from .engine import FEATURE_NAMES, parallel_map
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
@@ -280,6 +281,7 @@ def evaluate_all(
         raise BadK(f"need at least {2 * k} records for k={k}")
     folds = kfold_split(len(records), k, child_seed(seed, "folds"))
     pairs = [(target, group) for target in FEATURE_NAMES for group in groups]
+    forest._kernel()  # workers inherit it; a failed build stops here, before any fork
     # one predictor matrix and one ranking serve every pair
     outcomes = parallel_map(_cv_job, pairs, workers,
                             shared=(records, params, seed, folds, _full_design(records)))
@@ -346,6 +348,7 @@ def importance_all(
     workers: int = 1,
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
+    forest._kernel()  # workers inherit it; a failed build stops here, before any fork
     # one predictor matrix and one ranking serve every target
     return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
                              shared=(records, _full_design(records), params, seed)))

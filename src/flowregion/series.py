@@ -96,6 +96,16 @@ def standardize(series: TimeSeries) -> StandardizedSeries:
     return StandardizedSeries(zscore(series.values), period=series.period)
 
 
+def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i * b_i by numpy's pairwise summation of the products.
+
+    Unlike ``a @ b`` this never calls BLAS, so the sum is added in one fixed
+    order whatever the BLAS library or its thread count, and its rounding
+    error grows with log(n) rather than n.
+    """
+    return float(np.multiply(a, b).sum())
+
+
 def difference(values, order: int = 1) -> np.ndarray:
     """Order-1 or order-2 differencing: y_t = x_{t+1} - x_t, applied ``order`` times."""
     if order not in (1, 2):

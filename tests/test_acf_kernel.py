@@ -1,5 +1,6 @@
-"""The compiled ACF kernel: lag sums, the Durbin-Levinson recursion, and what
-a kernel that cannot be built does to a batch."""
+"""The compiled ACF kernel: lag sums, the Durbin-Levinson recursion, what a
+kernel that cannot be built does to a batch, and features that do not depend
+on the BLAS thread count."""
 
 import contextlib
 import datetime
@@ -81,17 +82,14 @@ def test_kernel_arguments_are_checked_before_the_call(call):
 
 _FEATURES_OF_ONE_SERIES = """
 import numpy as np
-from flowregion import dependence
-from flowregion.series import StandardizedSeries, zscore
+from flowregion.engine import extract_features
+from flowregion.series import TimeSeries
 
 rng = np.random.default_rng(12410)
 t = np.arange(12410)
 x = np.sin(2 * np.pi * t / 365) + np.cumsum(rng.normal(size=t.size)) * 0.05 + rng.normal(size=t.size)
-z = StandardizedSeries(zscore(x), period=365)
-features, r = dependence.acf_feature_set(z, return_acf=True)
-features.update(dependence.pacf_feature_set(z, r))
-for name in sorted(features):
-    print(name, float(features[name]).hex())
+for name, value in extract_features(TimeSeries(x)).as_dict().items():
+    print(name, value.hex())
 """
 
 
@@ -104,7 +102,7 @@ def test_features_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert len(outputs[0].splitlines()) == 12
+    assert len(outputs[0].splitlines()) == 28
     assert outputs[0] == outputs[1]
 
 

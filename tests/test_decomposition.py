@@ -3,6 +3,7 @@ import pytest
 
 from flowregion.decomposition import (
     Decomposition,
+    _hat_rows,
     _leave_one_out_variances,
     _orthonormal_time_polynomials,
     _tricube,
@@ -120,6 +121,19 @@ class TestLoessOperator:
             return
         got = loess_smooth(y, span, degree=degree)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
+
+    # spans of a cached kernel (367, 731) and of one rebuilt per call (1,415);
+    # lengths from one interior fit past the window to 34 years, and an odd one
+    @pytest.mark.parametrize("span, degree", [(367, 2), (731, 1), (1415, 1)])
+    @pytest.mark.parametrize("length", ["span+1", 3650, 4999, 12410])
+    def test_interior_matches_direct_convolution(self, span, degree, length):
+        n = span + 1 if length == "span+1" else length
+        y = zscore(sine(n, noise_sd=0.5, seed=n) + ar1(n, 0.9, seed=span))
+        half = (span - 1) // 2
+        kernel = _hat_rows(span, span, degree, np.array([half]))[0]
+        want = np.convolve(y, kernel[::-1], mode="valid")
+        got = loess_smooth(y, span, degree=degree)[half : n - half]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_operator_is_cached_and_read_only(self):
         y = np.random.default_rng(0).normal(size=500)

@@ -137,10 +137,10 @@ class TestPacfFeatureSet:
 
         x = ar1(n, 0.6, seed=n) + sine(n, period=period, seed=period)
         z = standardized(x, period=period)
-        features, r = acf_feature_set(z, return_acf=True)
+        features, acfs = acf_feature_set(z, return_acf=True)
         assert features == acf_feature_set(z)
-        assert r.size >= period
-        assert pacf_feature_set(z, r) == pacf_feature_set(z)
+        assert acfs[0].size >= period
+        assert pacf_feature_set(z, acfs) == pacf_feature_set(z)
 
     def test_lower_bound_by_first_partial(self, rng):
         from flowregion.dependence import pacf_feature_set

@@ -14,7 +14,8 @@ from flowregion.distributional import (
 from flowregion.errors import DegenerateRange, SingularDesign, TooShort
 from flowregion.series import StandardizedSeries, zscore
 
-from conftest import ar1, standardized, white_noise
+import nonlinearity_oracle as oracle
+from conftest import ar1, sine, standardized, white_noise
 
 
 def brute_force_crossings(x):
@@ -40,6 +41,31 @@ def projected_nonlinearity(x):
                            z1 ** 3, z1 * z1 * z2, z1 * z2 * z2, z2 ** 3])
     resid2 = resid - aux @ (np.linalg.pinv(aux, rcond=1e-10) @ resid)
     return 10.0 * (1.0 - (resid2 @ resid2) / (resid @ resid))
+
+
+def reservoir_release(n, seed):
+    """Daily release of a reservoir filled by routed intermittent rain: a
+    smooth, strongly autocorrelated flow."""
+    rng = np.random.default_rng(seed)
+    rain = np.where(rng.random(n) < 0.3, rng.gamma(0.7, 6.0, size=n), 0.0)
+    inflow = (np.convolve(rain, np.exp(-np.arange(60) / 15.0))[:n]
+              + 5.0 + sine(n, amplitude=3.0))
+    storage, release = 100.0, np.empty(n)
+    for t in range(n):
+        storage += inflow[t]
+        release[t] = min(storage, 0.02 * storage + 4.0)
+        storage -= release[t]
+    return release
+
+
+#: 34-year series of the three analysed variables
+NONLINEARITY_SERIES = {
+    "temperature": lambda n: 10.0 + sine(n, amplitude=12.0) + 2.5 * ar1(n, 0.7, seed=7),
+    "intermittent-precipitation": lambda n: np.where(
+        np.random.default_rng(8).random(n) < 0.3,
+        np.random.default_rng(9).gamma(0.7, 6.0, size=n), 0.0),
+    "reservoir-flow": lambda n: reservoir_release(n, seed=10),
+}
 
 
 def brute_force_longest_run(labels):
@@ -208,3 +234,10 @@ class TestNonlinearity:
     def test_too_short(self):
         with pytest.raises(TooShort):
             nonlinearity(StandardizedSeries(np.arange(10.0)))
+
+    @pytest.mark.parametrize("kind", sorted(NONLINEARITY_SERIES))
+    def test_matches_extended_precision_reference(self, kind):
+        x = zscore(NONLINEARITY_SERIES[kind](12410))
+        want = oracle.nonlinearity(x)
+        assert want > 0.0
+        assert abs(nonlinearity(StandardizedSeries(x)) - want) <= 1e-12 * want
