@@ -15,8 +15,11 @@ raises :class:`ConfigError` when it is built with a bad value: a period below
 
 from __future__ import annotations
 
+import calendar
 import csv
+import ctypes
 import datetime
+import functools
 import logging
 import math
 import re
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dependence
+from . import dependence, native
 from .engine import (
     Exclusion,
     FeatureConfig,
@@ -93,18 +96,13 @@ class CatchmentRecord:
         return getattr(self, variable)
 
 
-def _is_leap(year):
-    """Gregorian leap years; ``year`` is an int or an integer array."""
-    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-
-
 def _window_offsets(config: IngestConfig) -> np.ndarray:
     """Day offsets from ``config.start`` of every calendar day of the window
     but Feb 29."""
     start = config.start.toordinal()
     keep = np.ones(max(0, config.end.toordinal() - start + 1), dtype=bool)
     for year in range(config.start.year, config.end.year + 1):
-        if _is_leap(year):
+        if calendar.isleap(year):
             offset = datetime.date(year, 2, 29).toordinal() - start
             if 0 <= offset < keep.size:
                 keep[offset] = False
@@ -121,16 +119,31 @@ def expected_dates(config: IngestConfig) -> list[datetime.date]:
 SERIES_DTYPE = np.dtype([("day", np.int64), ("value", np.float64)])
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel() -> ctypes.CDLL:
+    lib = native.load(native.INGEST_SOURCE)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.parse_series.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr]
+    lib.parse_series.restype = i64
+    return lib
+
+
 def read_series_file(path) -> np.ndarray:
     """Parse a ``date,value`` file into a :data:`SERIES_DTYPE` array.
 
     ``day`` is the proleptic Gregorian ordinal (``date.toordinal()``) of the
     line's ``YYYY-MM-DD`` date and ``value`` is ``float`` of the rest of the
-    line. Lines may come in any order; blank lines are skipped. A file that
-    fails any check is scanned line by line for the :class:`ParseError` that
-    names its first bad line.
+    line, bit for bit. Lines may come in any order; blank lines are skipped.
+    The kernel ``_ingest.c`` checks every line and converts the dates and the
+    plain decimals that one exactly rounded operation converts (see
+    ``plain_decimal`` there) in one pass; Python's ``float()`` converts the
+    other values. A file that fails any check is scanned line by line for
+    the :class:`ParseError` that names its first bad line. Raises
+    :class:`KernelBuildError` when the kernel cannot be built.
     """
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     try:
@@ -141,53 +154,37 @@ def read_series_file(path) -> np.ndarray:
     header, _, body = text.partition("\n")
     if header.split(",")[:2] != ["date", "value"]:
         raise ParseError(f"{path}:1: expected 'date,value' header, got {header!r}")
-    out = _parse_body(np.frombuffer(data, dtype=np.uint8)[data.index(b"\n") + 1:], body)
+    out = _parse_body(data[data.index(b"\n") + 1:], body)
     if out is None:
         _raise_first_bad_line(path, body)
     return out
 
 
-def _parse_body(buf: np.ndarray, body: str) -> np.ndarray | None:
-    """The data lines of ``body`` (``buf`` holds its UTF-8 bytes), or None
+def _parse_body(raw: bytes, body: str) -> np.ndarray | None:
+    """The data lines of ``body`` (``raw`` holds its UTF-8 bytes), or None
     when one of them does not parse."""
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    filled = ends > starts
-    starts, ends = starts[filled], ends[filled]
-    # every line is a 10-byte date, its only comma and a non-empty value
-    if ((ends - starts < 12).any() or (buf[starts + 10] != ord(",")).any()
-            or np.count_nonzero(buf == ord(",")) != starts.size):
+    capacity = len(raw) // 12  # a data line takes 12 bytes or more
+    out = np.empty(capacity, dtype=SERIES_DTYPE)
+    deferred = np.empty(capacity, dtype=np.int64)
+    n_deferred = ctypes.c_int64()
+    rows = _kernel().parse_series(raw, len(raw), out.ctypes.data, deferred.ctypes.data,
+                                  ctypes.byref(n_deferred))
+    if rows < 0:
         return None
-    if not starts.size:
-        return np.empty(0, dtype=SERIES_DTYPE)
-    chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
-    digits = chars[:, (0, 1, 2, 3, 5, 6, 8, 9)] - ord("0")
-    if (digits > 9).any() or (chars[:, (4, 7)] != ord("-")).any():
-        return None
-    digits = digits.astype(np.int32)
-    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
-    month = digits[:, 4] * 10 + digits[:, 5]
-    day = digits[:, 6] * 10 + digits[:, 7]
-    month_days = np.array((31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31))
-    last = month_days[np.clip(month, 1, 12) - 1] + (_is_leap(year) & (month == 2))
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= last)).all():
-        return None
-    out = np.empty(starts.size, dtype=SERIES_DTYPE)
-    # ordinal by days-from-civil: a year counted from March 1 ends on Feb 29
-    year = year - (month <= 2)
-    era = year // 400
-    year_of_era = year - era * 400
-    day_of_year = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
-    out["day"] = (era * 146097 + year_of_era * 365 + year_of_era // 4
-                  - year_of_era // 100 + day_of_year - 305)  # 0001-03-01 is day 60
-    ordered = np.sort(out["day"])
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    fields = list(filter(None, body.replace("\n", ",").split(",")))
-    try:
-        out["value"] = np.fromiter(map(float, fields[1::2]), np.float64, count=out.size)
-    except ValueError:
-        return None
+    out = out[:rows]
+    day = out["day"]
+    if not (day[1:] > day[:-1]).all():  # a sorted file has no duplicate to look for
+        ordered = np.sort(day)
+        if (ordered[1:] == ordered[:-1]).any():
+            return None
+    if n_deferred.value:
+        # every line holds one comma, so the values are every second field
+        values = list(filter(None, body.replace("\n", ",").split(",")))[1::2]
+        late = deferred[:n_deferred.value]
+        try:
+            out["value"][late] = [float(values[i]) for i in late.tolist()]
+        except ValueError:
+            return None
     return out
 
 
@@ -328,7 +325,9 @@ def load_dataset(
     config = config or IngestConfig()
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
-    dependence._kernel()  # workers inherit it; a failed build stops here, before any fork
+    # workers inherit them; a failed build stops here, before any fork
+    dependence._kernel()
+    _kernel()
     loaded = parallel_map(_load_catchment, ids, config.workers,
                           shared=(Path(series_dir), config))
     rows, exclusions = collect_results(

@@ -123,10 +123,11 @@ def nonlinearity(z: StandardizedSeries) -> float:
     for k, v in enumerate(regressors):
         if k == 3:
             ssr0 = pairwise_dot(y, y)
-            if ssr0 < _EXACT_FIT * yy:
+            if ssr0 <= _EXACT_FIT * yy:
                 # an exact linear recursion (a noiseless sine, a ramp) leaves
                 # only rounding; its statistic is zero by continuity, even
-                # where the lag regressors are collinear
+                # where the lag regressors are collinear; an all-zero y
+                # (ssr0 = yy = 0) is fitted exactly too
                 return 0.0
             if independent < 3:
                 raise SingularDesign("collinear lag regressors in the nonlinearity test")

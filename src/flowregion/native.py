@@ -1,12 +1,14 @@
 """Build and load the package's compiled kernels on first use.
 
-There are two C sources: the tree kernel ``_tree.c`` (:mod:`flowregion.forest`)
-and the autocorrelation kernel ``_acf.c`` (:mod:`flowregion.dependence`). Each
-is compiled with the C compiler Python was built with (sysconfig ``CC``) and
-fixed flags, and cached under this package's ``__pycache__``. The cached file
-is named by the sha256 of the source, the compiler command, the
-flags and the compiler's ``--version`` output, so an edited source or another
-compiler is never served a stale build. A build writes a temporary file and
+There are three C sources: the tree kernel ``_tree.c``
+(:mod:`flowregion.forest`), the autocorrelation kernel ``_acf.c``
+(:mod:`flowregion.dependence`) and the series-file parser ``_ingest.c``
+(:mod:`flowregion.dataio`). Each is compiled with the C compiler Python was
+built with (sysconfig ``CC``) and fixed flags, and cached under this
+package's ``__pycache__``. The cached file is named by the sha256 of the
+source, the compiler command, the flags and the compiler's ``--version``
+output, so an edited source or another compiler is never served a stale
+build. A build writes a temporary file and
 renames it into place, so processes that build at once each load a complete
 library. Nothing is built at import.
 """
@@ -26,6 +28,7 @@ from .errors import KernelBuildError
 
 SOURCE = Path(__file__).with_name("_tree.c")
 ACF_SOURCE = Path(__file__).with_name("_acf.c")
+INGEST_SOURCE = Path(__file__).with_name("_ingest.c")
 CACHE = Path(__file__).with_name("__pycache__")
 
 #: No -ffast-math or -march=native: the kernels must keep IEEE arithmetic

@@ -269,6 +269,19 @@ class TestReadSeriesFile:
         "1999/01/05,1.0",
         "1999-01-05,1.0,",
         "1999-01-051.0",
+        # lines of 1 to 11 bytes (a line of 0 bytes is blank and skipped)
+        *["1999-01-05,1.0"[:size] for size in range(1, 10)],
+        ",",
+        "1999-01-0,",
+        "1999-01-051",
+        "1999-01-0,5",  # comma at byte 9
+        "1999-01-0,51.0",
+        "1999-01-051,0",  # comma at byte 11
+        "1999-01-05 ,1.0",
+        "1999-01-0\u0665,1.0",  # a non-ASCII byte in the date
+        "1999\u201301-05,1.0",
+        "\uff11999-01-05,1.0",
+        "1999-01-05\u00a0,1.0",
     ])
     @pytest.mark.parametrize("later", ["", "1999-01-02,x\n"])
     def test_first_bad_line_named_like_per_line_parser(self, tmp_path, bad, newline,

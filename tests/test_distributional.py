@@ -211,8 +211,8 @@ class TestNonlinearity:
         assert nonlinearity(StandardizedSeries(rng.normal(size=200))) >= 0.0
 
     def test_singular_design(self, rng):
-        with pytest.raises(SingularDesign):
-            nonlinearity(StandardizedSeries(np.zeros(50)))
+        # y = x[2:] is all zero: the linear terms fit it exactly
+        assert nonlinearity(StandardizedSeries(np.zeros(50))) == 0.0
         # a two-level series spans only 1, z1, z2 and z1*z2 of the ten
         # monomials; R^2 is that of the projection onto their span
         binary = zscore((rng.random(400) < 0.5).astype(float))
@@ -230,6 +230,13 @@ class TestNonlinearity:
         ramp = np.arange(float(n))
         for x in (noiseless_sine, ramp):
             assert nonlinearity(StandardizedSeries(zscore(x))) == 0.0
+
+    def test_all_zero_y_is_an_exact_fit(self):
+        # [0, 2, 1, 1, ...] standardizes to exactly 0 from its third day on,
+        # so y = x[2:] is all zero while the lag regressors are not
+        x = np.ones(800)
+        x[:2] = (0.0, 2.0)
+        assert nonlinearity(StandardizedSeries(zscore(x))) == 0.0
 
     def test_too_short(self):
         with pytest.raises(TooShort):

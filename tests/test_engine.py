@@ -141,6 +141,14 @@ class TestExtractBatch:
         for row in rows:
             assert 0.0 <= row.features["nonlinearity"] <= 10.0
 
+    def test_all_zero_nonlinearity_response_kept_under_drop_policy(self):
+        # y = x[2:] of the standardized series is all zero: an exact fit
+        x = np.ones(800)
+        x[:2] = (0.0, 2.0)
+        rows, exclusions = extract_batch([("c0", "streamflow", TimeSeries(x))],
+                                         policy="drop")
+        assert not exclusions and rows[0].features["nonlinearity"] == 0.0
+
     def test_extreme_scales_extract_like_unit_scale(self):
         x = white_noise(3650)
         scales = (1.0, 1e-300, 1e-200, 1e200, 1e300)
