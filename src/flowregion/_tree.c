@@ -314,33 +314,6 @@ int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int
     return result;
 }
 
-/*
- * Leaf value reached by each of the n rows of the n x p matrix X.
- *
- * With k > 0, descends k permuted copies of X instead: row r of copy c reads
- * predictor cols[c] from row perms[c * n + r] and every other predictor from
- * row r. out then holds k x n values.
- */
-void descend(const int32_t *feature, const double *threshold, const int32_t *left,
-             const int32_t *right, const double *value, const double *X, int64_t n,
-             int64_t p, const int64_t *cols, const int64_t *perms, int64_t k, double *out)
-{
-    int64_t copies = k ? k : 1;
-    for (int64_t c = 0; c < copies; c++) {
-        int64_t col = k ? cols[c] : -1;
-        const int64_t *perm = k ? perms + c * n : NULL;
-        for (int64_t r = 0; r < n; r++) {
-            int32_t node = 0, f;
-            while ((f = feature[node]) >= 0) {
-                int64_t row = f == col ? perm[r] : r;
-                node = X[row * p + f] <= threshold[node] ? left[node] : right[node];
-            }
-            out[c * n + r] = value[node];
-        }
-    }
-}
-
-
 /* index of the leaf that the predictor values x reach in one tree */
 static inline int32_t leaf(const int32_t *feature, const double *threshold, const int32_t *left,
                            const int32_t *right, const double *x)
@@ -352,32 +325,53 @@ static inline int32_t leaf(const int32_t *feature, const double *threshold, cons
 }
 
 /*
- * Leaf values of every tree of a forest stored as grow_forest leaves it,
- * summed per row of the n x p matrix X in tree order.
+ * Leaf values of trees first .. last-1 of a forest stored as grow_forest
+ * leaves it, summed per row of the n x p matrix X in tree order.
  *
  * Without `oob`, every tree predicts every row. With it (the forest's
  * out-of-bag lists, X its training rows), each tree predicts only its
  * out-of-bag rows, and counts[r] counts the trees that predicted row r.
  * sums and counts must start at zero.
+ *
+ * With `cols` as well, the range must hold one tree, with m out-of-bag rows.
+ * sums then receives (1 + k) x m values: row 0 the leaf values of the tree's
+ * out-of-bag rows, and row 1 + c those of copy c, whose row i reads predictor
+ * cols[c] from X[oob[perms[c * m + i]]] and every other predictor from
+ * X[oob[i]]. Each copy swaps its value into `row`, p doubles of scratch.
  */
 void descend_forest(const int32_t *feature, const double *threshold, const int32_t *left,
                     const int32_t *right, const double *value, const int64_t *node_start,
-                    int64_t n_trees, const double *X, int64_t n, int64_t p, const int64_t *oob,
-                    const int64_t *oob_start, double *sums, int64_t *counts)
+                    int64_t first, int64_t last, const double *X, int64_t n, int64_t p,
+                    int64_t k, const int64_t *oob, const int64_t *oob_start,
+                    const int64_t *cols, const int64_t *perms, double *row, double *sums,
+                    int64_t *counts)
 {
-    for (int64_t t = 0; t < n_trees; t++) {
+    for (int64_t t = first; t < last; t++) {
         int64_t at = node_start[t];
         const int32_t *f = feature + at, *l = left + at, *r = right + at;
         const double *thr = threshold + at, *v = value + at;
         if (!oob) {
-            for (int64_t row = 0; row < n; row++)
-                sums[row] += v[leaf(f, thr, l, r, X + row * p)];
+            for (int64_t i = 0; i < n; i++)
+                sums[i] += v[leaf(f, thr, l, r, X + i * p)];
             continue;
         }
-        for (int64_t i = oob_start[t]; i < oob_start[t + 1]; i++) {
-            int64_t row = oob[i];
-            sums[row] += v[leaf(f, thr, l, r, X + row * p)];
-            counts[row]++;
+        const int64_t *o = oob + oob_start[t];
+        int64_t m = oob_start[t + 1] - oob_start[t];
+        for (int64_t i = 0; i < m; i++) {
+            const double *x = X + o[i] * p;
+            if (!cols) {
+                sums[o[i]] += v[leaf(f, thr, l, r, x)];
+                counts[o[i]]++;
+                continue;
+            }
+            memcpy(row, x, (size_t)p * sizeof *row);
+            sums[i] = v[leaf(f, thr, l, r, row)];
+            for (int64_t c = 0; c < k; c++) {
+                int64_t j = cols[c];
+                row[j] = X[o[perms[c * m + i]] * p + j];
+                sums[(1 + c) * m + i] = v[leaf(f, thr, l, r, row)];
+                row[j] = x[j];
+            }
         }
     }
 }

@@ -12,13 +12,14 @@ by :mod:`flowregion.native`). Python draws each tree's bootstrap sample and
 its per-node candidate orders from the tree's generator, into buffers reused
 across a forest; one kernel call per batch of trees grows them into the
 forest's single node store (:class:`TreeStore`) and lists their out-of-bag
-rows, and one call descends every tree for :func:`predict` or
-:func:`oob_error`, summing in tree order. ``ForestModel.trees`` are views
-into that store. The kernel grows each tree depth-first, left child first.
-At each node it sorts the node's rows by each candidate's column ranks (the
-dense rank of every value within its column, computed once per design
-matrix): a stable sort, so tied values keep the node's row order, and the
-children inherit the split predictor's order.
+rows. One kernel entry, ``descend_forest``, reaches every leaf: one call
+descends every tree for :func:`predict` or :func:`oob_error`, summing in
+tree order, and :func:`permutation_importance` makes one call per tree.
+``ForestModel.trees`` are views into that store. The kernel grows each tree
+depth-first, left child first. At each node it sorts the node's rows by each
+candidate's column ranks (the dense rank of every value within its column,
+computed once per design matrix): a stable sort, so tied values keep the
+node's row order, and the children inherit the split predictor's order.
 Only the order and equality of ranks matter, so the ranks of a larger matrix
 restricted to a subset of its rows serve that subset. The split arithmetic
 follows numpy step for step, so the trees are bit-identical to a numpy grower
@@ -30,9 +31,11 @@ shuffling one predictor within that tree's out-of-bag rows, and the
 differences are averaged over trees. Predictors a tree never splits on leave
 its predictions unchanged, so their per-tree difference is exactly zero and
 the shuffle is skipped; per-(tree, predictor) substreams keep the skipped
-draws from shifting any other permutation. The permuted copies of a tree's
-out-of-bag block are never built: one descent of the tree reads each copy's
-permuted predictor through that copy's row permutation.
+draws from shifting any other permutation. One kernel call per tree returns
+its out-of-bag predictions and those of every permuted copy, so only one
+tree's permutations are held at a time. The copies are never built: the
+kernel copies each out-of-bag row once into a scratch row, then swaps each
+copy's permuted value in and back out around that copy's descent.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class TreeStore:
 
 @dataclass
 class ForestModel:
-    trees: list[RegressionTree]  # views into ``store``
+    trees: list[RegressionTree]  # views into ``store``; the bench tracer reads them
     columns: list[str]
     params: ForestParams
     seed: int
@@ -189,11 +192,9 @@ def _kernel() -> ctypes.CDLL:
     lib.grow_forest.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, i64, i64, i64,
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
     lib.grow_forest.restype = i64
-    lib.descend_forest.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, i64, ptr,
-                                   ptr, ptr, ptr]
+    lib.descend_forest.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64, i64, i64,
+                                   ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.descend_forest.restype = None
-    lib.descend.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr]
-    lib.descend.restype = None
     return lib
 
 
@@ -276,45 +277,42 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
                        seed=seed, n_rows=n, store=store)
 
 
-def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool):
+def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=None,
+                    perms=None):
     """Per-row sums, in tree order, of the leaf values that the rows of the
     contiguous float64 array X reach in every tree of ``store``, and per-row
     tree counts. With ``oob`` (X then being the training rows) each tree
-    predicts only its out-of-bag rows; otherwise the counts stay zero."""
+    predicts only its out-of-bag rows; otherwise the counts stay zero.
+
+    Given a tree index ``tree`` (with ``oob``), k predictor indices ``cols``
+    and a k x m array ``perms`` of permutations of the tree's m out-of-bag
+    positions, returns instead that tree's (1 + k) x m leaf values: row 0 for
+    its out-of-bag rows, and row 1 + c for copy c of them, whose row i reads
+    predictor ``cols[c]`` from out-of-bag row ``perms[c, i]`` and every other
+    predictor from out-of-bag row i.
+    """
     n, p = X.shape
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
+    if tree is None:
+        first, last, k, row = 0, len(store.inbag), 0, None
+        sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+    else:
+        if not oob:
+            raise ValueError("a single tree's permuted copies need its out-of-bag rows")
+        m = int(store.oob_start[tree + 1] - store.oob_start[tree])
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        perms = np.ascontiguousarray(perms, dtype=np.int64)
+        first, last, k, counts = tree, tree + 1, cols.size, None
+        if perms.shape != (k, m):
+            raise ValueError(f"perms must be {k} x {m}, got {perms.shape}")
+        sums, row = np.empty((1 + k, m)), np.empty(p)
     _kernel().descend_forest(
         store.feature.ctypes.data, store.threshold.ctypes.data, store.left.ctypes.data,
         store.right.ctypes.data, store.value.ctypes.data, store.node_start.ctypes.data,
-        len(store.inbag), X.ctypes.data, n, p, store.oob.ctypes.data if oob else None,
-        store.oob_start.ctypes.data, sums.ctypes.data, counts.ctypes.data)
-    return sums, counts
-
-
-def _descend(tree: RegressionTree, X: np.ndarray, cols=None,
-             perms=None) -> np.ndarray:
-    """Leaf value reached by each row of the contiguous float64 array X.
-
-    Given k predictor indices ``cols`` and a k x n array ``perms`` of row
-    permutations, predicts k permuted copies of X in one descent instead:
-    row r of copy c reads predictor ``cols[c]`` from row ``perms[c, r]`` and
-    every other predictor from row r. The result is then k x n.
-    """
-    n, p = X.shape
-    k = 0 if cols is None else len(cols)
-    if k:
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        perms = np.ascontiguousarray(perms, dtype=np.int64)
-        if perms.shape != (k, n):
-            raise ValueError(f"perms must be {k} x {n}, got {perms.shape}")
-    out = np.empty((k, n) if k else n)
-    _kernel().descend(
-        tree.feature.ctypes.data, tree.threshold.ctypes.data, tree.left.ctypes.data,
-        tree.right.ctypes.data, tree.value.ctypes.data, X.ctypes.data, n, p,
-        cols.ctypes.data if k else None, perms.ctypes.data if k else None, k,
-        out.ctypes.data)
-    return out
+        first, last, X.ctypes.data, n, p, k,
+        *(None if a is None else a.ctypes.data
+          for a in (store.oob if oob else None, store.oob_start, cols, perms, row, sums,
+                    counts)))
+    return sums if counts is None else (sums, counts)
 
 
 def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -326,7 +324,7 @@ def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
             f"{X.shape[1] if X.ndim == 2 else 'non-2d input'}"
         )
     total, _ = _descend_forest(model.store, X, oob=False)
-    return total / len(model.trees)
+    return total / len(model.store.inbag)
 
 
 def oob_error(model: ForestModel, data: DesignMatrix) -> float:
@@ -359,28 +357,24 @@ def permutation_importance(
     ties break by column order.
     """
     _check_training_data(model, data)
+    store = model.store
     p = len(model.columns)
     diffs = np.zeros(p)
     trees_used = 0
-    for t, tree in enumerate(model.trees):
-        o = tree.oob
+    nodes, oobs = store.node_start.tolist(), store.oob_start.tolist()
+    for t in range(len(store.inbag)):
+        o = store.oob[oobs[t]:oobs[t + 1]]
         if o.size == 0:
             continue
         trees_used += 1
-        Xo = data.X[o]
-        yo = data.y[o]
-        base = _descend(tree, Xo)
-        mse0 = float((base - yo) @ (base - yo)) / o.size
-        used = np.unique(tree.feature[tree.feature >= 0])
-        if used.size == 0:
-            continue
-        perms = np.stack([
-            substream(seed, _PERM_STREAM, t, int(j)).permutation(o.size)
-            for j in used
-        ])
-        for j, pred in zip(used, _descend(tree, Xo, used, perms)):
-            mse_j = float((pred - yo) @ (pred - yo)) / o.size
-            diffs[j] += mse_j - mse0
+        feature = store.feature[nodes[t]:nodes[t + 1]]
+        used = np.unique(feature[feature >= 0])
+        perms = np.array([substream(seed, _PERM_STREAM, t, int(j)).permutation(o.size)
+                          for j in used], dtype=np.int64).reshape(used.size, o.size)
+        d = _descend_forest(store, data.X, True, t, used, perms) - data.y[o]
+        # each row's BLAS dot, as ``d @ d`` takes it; einsum and sum round differently
+        mse = np.matmul(d[:, None, :], d[:, :, None]).ravel() / o.size
+        diffs[used] += mse[1:] - mse[0]
     if trees_used == 0:
         raise NoOobCoverage("no tree has out-of-bag rows")
     scores = diffs / trees_used

@@ -1,11 +1,11 @@
 """The numpy random-forest grower and descent that the compiled kernel replaced.
 
 Kept as the reference that ``tests/test_tree_kernel.py`` compares the kernel
-with bit for bit. ``grow_forest``, ``descend_forest`` and ``tree_predict`` take
-the arguments of ``forest._grow_forest``, ``forest._descend_forest`` and
-``forest._descend``, so a test can patch them in and run the same ``fit``,
-``predict``, ``oob_error`` and ``permutation_importance``. The forest-level
-functions loop over the per-tree ``grow_tree`` and ``tree_predict``.
+with bit for bit. ``grow_forest`` and ``descend_forest`` take the arguments of
+``forest._grow_forest`` and ``forest._descend_forest``, so a test can patch
+them in and run the same ``fit``, ``predict``, ``oob_error`` and
+``permutation_importance``. They loop over the per-tree ``grow_tree`` and
+``tree_predict``.
 
 The grower sorts integer keys instead of floats at each node: every value is
 replaced by its dense rank within its column, shifted into the high 32 bits,
@@ -140,31 +140,12 @@ def tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
     row r of copy c reads predictor ``cols[c]`` from row ``perms[c, r]`` and
     every other predictor from row r. The result is then k x n.
     """
-    n = X.shape[0]
+    n, p = X.shape
     feature, threshold = tree.feature, tree.threshold
     left, right, value = tree.left, tree.right, tree.value
     if n == 0:
         return np.empty(0)
-    if n < 64 and cols is None:
-        # scalar descent beats vectorized traversal for small batches
-        lists = getattr(tree, "_lists", None)
-        if lists is None:
-            lists = (feature.tolist(), threshold.tolist(), left.tolist(),
-                     right.tolist(), value.tolist())
-            tree._lists = lists
-        fl, tl, ll, rl, vl = lists
-        out = np.empty(n)
-        for i in range(n):
-            row = X[i]
-            node = 0
-            f = fl[node]
-            while f >= 0:
-                node = ll[node] if row[f] <= tl[node] else rl[node]
-                f = fl[node]
-            out[i] = vl[node]
-        return out
     # rows are flat offsets into X: a 1-d take is cheaper than X[rows, cols]
-    p = X.shape[1]
     flat = X.ravel()
     row_off = np.arange(0, n * p, p)
     if cols is not None:
@@ -202,16 +183,22 @@ def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
         oob_start=np.cumsum([0] + [tree.oob.size for tree in trees]))
 
 
-def descend_forest(store: TreeStore, X: np.ndarray, oob: bool):
-    """Per-row sums and counts of ``forest._descend_forest``, one
-    ``tree_predict`` per tree."""
+def descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=None,
+                   perms=None):
+    """The sums and counts, or one tree's out-of-bag leaf values and permuted
+    copies, of ``forest._descend_forest``, from ``tree_predict`` per tree."""
+    trees = store.trees()
+    if tree is not None:
+        Xo = X[trees[tree].oob]
+        return np.vstack([tree_predict(trees[tree], Xo),
+                          tree_predict(trees[tree], Xo, cols, perms)])
     n = X.shape[0]
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    for tree in store.trees():
+    for t in trees:
         if not oob:
-            sums += tree_predict(tree, X)
-        elif tree.oob.size:
-            sums[tree.oob] += tree_predict(tree, X[tree.oob])
-            counts[tree.oob] += 1
+            sums += tree_predict(t, X)
+        elif t.oob.size:
+            sums[t.oob] += tree_predict(t, X[t.oob])
+            counts[t.oob] += 1
     return sums, counts

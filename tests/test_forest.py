@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,23 @@ class TestPermutationImportance:
         ranks1 = permutation_importance(model1, data, seed=13).ranks
         ranks2 = permutation_importance(model2, data2, seed=13).ranks
         np.testing.assert_array_equal(ranks1, ranks2)
+
+
+    def test_peak_memory_does_not_grow_with_the_forest(self):
+        """Importance holds one tree's permuted copies at a time, so its
+        allocation peak at 200 trees stays within 1 MB of that at 16."""
+        data = make_design(511, 75, 34, signal=lambda X, rng: X[:, 0] + rng.normal(size=511))
+        permutation_importance(fit(data, ForestParams(n_trees=2), seed=14), data)
+        peaks = []
+        for trees in (16, 200):
+            model = fit(data, ForestParams(n_trees=trees), seed=14)
+            tracemalloc.start()
+            try:
+                permutation_importance(model, data, seed=15)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def _golden_design(n, p, seed):

@@ -31,7 +31,7 @@ def test_edited_source_never_served_the_old_build(tmp_path):
     second = native.build(source, cache)
     assert second != first and second.is_file()
     assert sorted(cache.iterdir()) == sorted([first, second])
-    assert native.load(source, cache).descend is not None
+    assert native.load(source, cache).descend_forest is not None
 
 
 # A compiler wrapper that first writes a partial output, then compiles slowly:
@@ -55,17 +55,19 @@ from flowregion import native
 native._compiler = lambda: [sys.argv[1]]
 lib = native.load(Path(sys.argv[2]), Path(sys.argv[3]))
 ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-lib.descend.argtypes = [ptr] * 6 + [i64, i64, ptr, ptr, i64, ptr]
+lib.descend_forest.argtypes = [ptr] * 6 + [i64, i64, ptr, i64, i64, i64] + [ptr] * 7
 feature = np.array([0, -1, -1], dtype=np.int32)
 threshold = np.array([0.5, np.nan, np.nan])
 left = np.array([1, -1, -1], dtype=np.int32)
 right = np.array([2, -1, -1], dtype=np.int32)
 value = np.array([np.nan, -1.0, 1.0])
+node_start = np.array([0, 3], dtype=np.int64)
 X = np.array([[0.0], [1.0], [0.5]])
-out = np.empty(3)
-lib.descend(feature.ctypes.data, threshold.ctypes.data, left.ctypes.data,
-            right.ctypes.data, value.ctypes.data, X.ctypes.data, 3, 1, None, None, 0,
-            out.ctypes.data)
+out = np.zeros(3)
+lib.descend_forest(feature.ctypes.data, threshold.ctypes.data, left.ctypes.data,
+                   right.ctypes.data, value.ctypes.data, node_start.ctypes.data, 0, 1,
+                   X.ctypes.data, 3, 1, 0, None, None, None, None, None, out.ctypes.data,
+                   None)
 print(out.tolist())
 """
 

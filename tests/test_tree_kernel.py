@@ -73,7 +73,6 @@ def _assert_matches_oracle(data, params, seed, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(forest, "_grow_forest", forest_oracle.grow_forest)
         patch.setattr(forest, "_descend_forest", forest_oracle.descend_forest)
-        patch.setattr(forest, "_descend", forest_oracle.tree_predict)
         oracle = _outputs(data, params, seed)
     for key in oracle:
         assert kernel[key] == oracle[key], key
@@ -81,6 +80,8 @@ def _assert_matches_oracle(data, params, seed, monkeypatch):
 
 # (n, p, min_node_size, mtry, columns, target); mtry None is p // 3
 ORACLE_CASES = [
+    (3, 2, 1, None, "pairs", "normal"),  # a root that is a leaf: no permuted copies
+    (4, 2, 1, 2, "duplicated", "normal"),  # a tree with no out-of-bag rows
     (10, 1, 1, 1, "normal", "normal"),
     (10, 3, 2, 3, "tied", "normal"),
     (12, 2, 1, 2, "signed_zero", "zero_inflated"),
