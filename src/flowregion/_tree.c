@@ -88,7 +88,7 @@ static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, int bits, int
     return a;
 }
 
-/* scratch memory for growing trees on n rows and p predictors, in one block */
+/* scratch memory for growing trees on at most n rows of p predictors, in one block */
 struct workspace {
     int64_t *rows, *reordered, *count, *stack;
     double *ys, *inv;
@@ -120,20 +120,21 @@ static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
 
 /*
  * Grow one tree depth-first, left child first, on the bootstrap sample
- * `inbag` (n draws of rows of the n x p matrix X).
+ * `inbag` (n draws of rows of the n_rows x p matrix X).
  *
- * ranks: p x n keys whose order and equality within each column are those of
- *   X's values. draws: n_draws rows of p candidate orders, one consumed per
- *   node that tries to split; a node's candidates are the first n_cand
- *   entries of its row, scanned in ascending predictor order.
+ * ranks: p x n_rows keys whose order and equality within each column are
+ *   those of X's values. draws: n_draws rows of p candidate orders, one
+ *   consumed per node that tries to split; a node's candidates are the first
+ *   n_cand entries of its row, scanned in ascending predictor order.
  * The node arrays have room for `room` nodes. Returns the node count, -1 if
  * the draws ran out, or -3 if the room ran out.
  */
 static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *ranks,
-                         const double *y, int64_t n, int64_t p, const int64_t *inbag,
-                         const int64_t *draws, int64_t n_draws, int64_t n_cand,
-                         int64_t min_node_size, int64_t room, int32_t *feature,
-                         double *threshold, int32_t *left, int32_t *right, double *value)
+                         const double *y, int64_t n_rows, int64_t n, int64_t p,
+                         const int64_t *inbag, const int32_t *draws, int64_t n_draws,
+                         int64_t n_cand, int64_t min_node_size, int64_t room,
+                         int32_t *feature, double *threshold, int32_t *left,
+                         int32_t *right, double *value)
 {
     int64_t *rows = w->rows, *stack = w->stack;
     double *ys = w->ys, *inv = w->inv;
@@ -183,7 +184,7 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
         for (int64_t f = 0; f < p && !nan_found; f++) {
             if (!chosen[f])
                 continue;
-            const uint32_t *col = ranks + f * n;
+            const uint32_t *col = ranks + f * n_rows;
             uint32_t kmin = UINT32_MAX, kmax = 0;
             for (int64_t i = 0; i < m; i++) {
                 uint32_t k = col[node_rows[i]];
@@ -266,33 +267,38 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
  * Grow trees t0 .. t1-1 of a forest into its node store, and list each
  * tree's out-of-bag rows.
  *
- * inbag: the forest's n_trees x n bootstrap draws; row t is tree t's sample.
- * draws: (t1 - t0) blocks of n_draws x p candidate orders, block t - t0 for
- *   tree t (see grow_tree).
+ * X, ranks and y hold n_rows rows (see grow_tree). sizes: each tree's sample
+ *   size, at most n_rows. inbag: one row of `width` entries per tree, width
+ *   being the largest size; tree t's sample is the first sizes[t] entries of
+ *   row t, rows of X drawn with replacement.
+ * draws: (t1 - t0) blocks of (width / min_node_size) x p candidate orders,
+ *   block t - t0 for tree t, which uses its first sizes[t] / min_node_size
+ *   rows (see grow_tree).
  * Tree t's nodes go to [node_start[t], node_start[t+1]) of the node arrays,
  * which hold `room` nodes; its child indices count from its own first node.
- * Its out-of-bag rows, ascending, go to [oob_start[t], oob_start[t+1]) of
- * `oob`. node_start[t0] and oob_start[t0] must be set; the kernel sets
- * entries t0+1 .. t1. Returns 0, -1 if a tree ran out of draws, -2 if memory
- * ran out, or -3 if the node store ran out of room.
+ * Its out-of-bag rows (the rows of X it never drew), ascending, go to
+ * [oob_start[t], oob_start[t+1]) of `oob`. node_start[t0] and oob_start[t0]
+ * must be set; the kernel sets entries t0+1 .. t1. Returns 0, -1 if a tree
+ * ran out of draws, -2 if memory ran out, or -3 if the node store ran out of
+ * room.
  */
-int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int64_t n,
-                    int64_t p, const int64_t *inbag, const int64_t *draws, int64_t n_draws,
-                    int64_t n_cand, int64_t min_node_size, int64_t room, int32_t *feature,
-                    double *threshold, int32_t *left, int32_t *right, double *value,
-                    int64_t *node_start, int64_t *oob, int64_t *oob_start, int64_t t0,
-                    int64_t t1)
+int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int64_t n_rows,
+                    int64_t p, const int64_t *sizes, int64_t width, const int64_t *inbag,
+                    const int32_t *draws, int64_t n_cand, int64_t min_node_size, int64_t room,
+                    int32_t *feature, double *threshold, int32_t *left, int32_t *right,
+                    double *value, int64_t *node_start, int64_t *oob, int64_t *oob_start,
+                    int64_t t0, int64_t t1)
 {
     struct workspace w;
-    void *block = alloc_workspace(&w, n, p);
+    void *block = alloc_workspace(&w, n_rows, p);
     if (!block)
         return -2;
-    int64_t result = 0;
+    int64_t n_draws = width / min_node_size, result = 0;
     for (int64_t t = t0; t < t1; t++) {
-        const int64_t *sample = inbag + t * n;
-        int64_t at = node_start[t];
-        int64_t count = grow_tree(&w, X, ranks, y, n, p, sample,
-                                  draws + (t - t0) * n_draws * p, n_draws, n_cand,
+        const int64_t *sample = inbag + t * width;
+        int64_t n = sizes[t], at = node_start[t];
+        int64_t count = grow_tree(&w, X, ranks, y, n_rows, n, p, sample,
+                                  draws + (t - t0) * n_draws * p, n / min_node_size, n_cand,
                                   min_node_size, room - at, feature + at, threshold + at,
                                   left + at, right + at, value + at);
         if (count < 0) {
@@ -301,11 +307,11 @@ int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int
         }
         node_start[t + 1] = at + count;
 
-        memset(w.drawn, 0, (size_t)n);
+        memset(w.drawn, 0, (size_t)n_rows);
         for (int64_t i = 0; i < n; i++)
             w.drawn[sample[i]] = 1;
         int64_t *out = oob + oob_start[t];
-        for (int64_t r = 0; r < n; r++)
+        for (int64_t r = 0; r < n_rows; r++)
             if (!w.drawn[r])
                 *out++ = r;
         oob_start[t + 1] = out - oob;
@@ -373,5 +379,62 @@ void descend_forest(const int32_t *feature, const double *threshold, const int32
                 row[j] = x[j];
             }
         }
+    }
+}
+
+/* numpy's SeedSequence constants (numpy/random/bit_generator.pyx) */
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+#define POOL_SIZE 4
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/*
+ * numpy's SeedSequence(entropy).generate_state(4, np.uint64), the state that
+ * seeds a PCG64, for b entropy arrays: array i is the uint32 words
+ * words[offsets[i] .. offsets[i+1]), and its state goes to out[4i .. 4i+4).
+ */
+void seed_states(const uint32_t *words, const int64_t *offsets, int64_t b, uint64_t *out)
+{
+    for (int64_t i = 0; i < b; i++) {
+        const uint32_t *entropy = words + offsets[i];
+        int64_t size = offsets[i + 1] - offsets[i];
+        uint32_t pool[POOL_SIZE], hash = INIT_A;
+        for (int64_t j = 0; j < POOL_SIZE; j++)
+            pool[j] = hashmix(j < size ? entropy[j] : 0, &hash);
+        for (int src = 0; src < POOL_SIZE; src++)
+            for (int dst = 0; dst < POOL_SIZE; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+        for (int64_t src = POOL_SIZE; src < size; src++)
+            for (int dst = 0; dst < POOL_SIZE; dst++)
+                pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
+
+        uint32_t state[2 * POOL_SIZE];
+        hash = INIT_B;
+        for (int j = 0; j < 2 * POOL_SIZE; j++) {
+            uint32_t value = pool[j % POOL_SIZE] ^ hash;
+            hash *= MULT_B;
+            value *= hash;
+            state[j] = value ^ value >> 16;
+        }
+        for (int j = 0; j < POOL_SIZE; j++)
+            out[POOL_SIZE * i + j] = (uint64_t)state[2 * j + 1] << 32 | state[2 * j];
     }
 }

@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigError(
                 f"unknown group(s) {', '.join(bad)}; choose from {', '.join(GROUP_NAMES)}"
             )
+        if len(set(self.groups)) != len(self.groups):
+            raise ConfigError(f"each --group may be given once, got {', '.join(self.groups)}")
         if self.synthetic_catchments < 1 or self.synthetic_years < 1:
             raise ConfigError("synthetic dataset size must be positive")
         if not self.synthetic and (self.series_dir is None or self.attributes_file is None):

@@ -8,22 +8,31 @@ draws from a substream keyed on (seed, tree index), so each tree is
 bit-identical whatever was grown before it.
 
 Growth and descent run in a compiled kernel (``_tree.c``, built on first use
-by :mod:`flowregion.native`). Python draws each tree's bootstrap sample and
-its per-node candidate orders from the tree's generator, into buffers reused
-across a forest; one kernel call per batch of trees grows them into the
-forest's single node store (:class:`TreeStore`) and lists their out-of-bag
-rows. One kernel entry, ``descend_forest``, reaches every leaf: one call
-descends every tree for :func:`predict` or :func:`oob_error`, summing in
-tree order, and :func:`permutation_importance` makes one call per tree.
-``ForestModel.trees`` are views into that store. The kernel grows each tree
-depth-first, left child first. At each node it sorts the node's rows by each
-candidate's column ranks (the dense rank of every value within its column,
-computed once per design matrix): a stable sort, so tied values keep the
-node's row order, and the children inherit the split predictor's order.
-Only the order and equality of ranks matter, so the ranks of a larger matrix
-restricted to a subset of its rows serve that subset. The split arithmetic
-follows numpy step for step, so the trees are bit-identical to a numpy grower
-(kept in the tests as the reference).
+by :mod:`flowregion.native`). The generators of a forest's trees are seeded
+by one kernel call (:func:`flowregion.seeding.substreams`). Python draws
+each tree's bootstrap sample and its per-node candidate orders from the
+tree's generator, into buffers reused across a forest; one kernel call per
+batch of trees grows them into the forest's single node store
+(:class:`TreeStore`) and lists their out-of-bag rows. A tree may be
+restricted to some rows of the design matrix: its sample is drawn from those
+rows, and it grows as on a matrix of only those rows. One kernel entry,
+``descend_forest``, reaches every leaf: one call descends every tree for
+:func:`predict` or :func:`oob_error`, summing in tree order, and
+:func:`permutation_importance` makes one call per tree.
+``ForestModel.trees`` are views into that store. :func:`cross_predict`
+builds no model: it grows every fold's trees, each restricted to the rows
+outside its fold, in batches that may span folds, and after each batch one
+descent adds each tree's predictions of its fold's rows into running sums.
+
+The kernel grows each tree depth-first, left child first. At each node it
+sorts the node's rows by each candidate's column ranks (the dense rank of
+every value within its column, computed once per design matrix): a stable
+sort, so tied values keep the node's row order, and the children inherit the
+split predictor's order. Only the order and equality of ranks matter, so the
+ranks of a larger matrix restricted to a subset of its rows serve that
+subset, and a tree restricted to rows reads the full matrix's ranks at those
+rows. The split arithmetic follows numpy step for step, so the trees are
+bit-identical to a numpy grower (kept in the tests as the reference).
 
 Permutation importance follows the unnormalized per-tree scheme: for each
 tree the out-of-bag mean square error is compared against the error after
@@ -42,12 +51,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import native
+from . import seeding
 from .errors import (
     ColumnMismatch,
     DegenerateTarget,
@@ -55,7 +65,6 @@ from .errors import (
     NoOobCoverage,
     TooShort,
 )
-from .seeding import substream
 
 logger = logging.getLogger(__name__)
 
@@ -98,15 +107,6 @@ class DesignMatrix:
         if self.ranks.shape != self.X.T.shape:
             raise ValueError("ranks must be laid out predictors x rows")
 
-    def subset(self, rows: np.ndarray) -> DesignMatrix:
-        """These rows, with their ranks, without validating them again."""
-        sub = object.__new__(DesignMatrix)
-        sub.columns = self.columns
-        sub.X = self.X[rows]
-        sub.y = self.y[rows]
-        sub.ranks = self.ranks.take(rows, axis=1)
-        return sub
-
 
 @dataclass
 class ForestParams:
@@ -132,8 +132,8 @@ class TreeStore:
 
     Tree t's nodes are entries ``node_start[t]:node_start[t + 1]`` of the node
     arrays (its child indices count from its own first node), its bootstrap
-    draws are row t of ``inbag`` and its out-of-bag rows are entries
-    ``oob_start[t]:oob_start[t + 1]`` of ``oob``.
+    draws lead row t of ``inbag`` (rows as wide as the largest sample) and its
+    out-of-bag rows are entries ``oob_start[t]:oob_start[t + 1]`` of ``oob``.
     """
 
     feature: np.ndarray
@@ -187,9 +187,9 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _kernel() -> ctypes.CDLL:
-    lib = native.load()
+    lib = seeding._kernel()  # one load of _tree.c serves the seeding too
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.grow_forest.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, i64, i64, i64,
+    lib.grow_forest.argtypes = [ptr, ptr, ptr, i64, i64, ptr, i64, ptr, ptr, i64, i64, i64,
                                 ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
     lib.grow_forest.restype = i64
     lib.descend_forest.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64, i64, i64,
@@ -198,48 +198,58 @@ def _kernel() -> ctypes.CDLL:
     return lib
 
 
-#: trees whose candidate draws are held at once
+#: trees grown per kernel call, whose candidate draws are held at once; also
+#: the trees that cross_predict holds at once
 _BATCH = 16
 
 
 @functools.lru_cache(maxsize=64)
 def _candidate_base(rows: int, p: int) -> np.ndarray:
-    base = np.tile(np.arange(p, dtype=np.int64), (rows, 1))
+    base = np.tile(np.arange(p, dtype=np.int32), (rows, 1))
     base.flags.writeable = False
     return base
 
 
-def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
+def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> TreeStore:
     """``n_trees`` trees, each on a bootstrap sample drawn from the next of
-    the generators ``rngs``; ``X``, ``ranks`` and ``y`` must be contiguous
-    float64, uint32 and float64 arrays of matching shapes."""
-    n, p = X.shape
+    the generators ``rngs``: a sample of every row of X, or with ``rows``, of
+    the rows ``rows[t]`` for tree t (so tree t grows as on ``X[rows[t]]``
+    with ranks ``ranks[:, rows[t]]``). ``X``, ``ranks`` and ``y`` must be
+    contiguous float64, uint32 and float64 arrays of matching shapes, and
+    ``rows`` int64 arrays."""
+    n_rows, p = X.shape
+    sizes = (np.full(n_trees, n_rows, dtype=np.int64) if rows is None
+             else np.array([r.size for r in rows], dtype=np.int64))
+    width = int(sizes.max())
     # One row of candidate orders per node that tries to split; K rows drawn
     # at once are the rows of, and leave the generator as, K calls to
-    # rng.permutation(p). Every leaf keeps at least min_node_size rows and a
+    # rng.permutation(p), held as int32 or int64 alike. Every leaf keeps at least min_node_size rows and a
     # leaf that tried to split twice that, so fewer than K = n // min_node_size
-    # nodes try and a tree has at most 2K - 1 nodes.
-    k = n // min_node_size
+    # nodes of a tree on n rows try and it has at most 2K - 1 nodes.
+    k = width // min_node_size
     room = n_trees * (2 * k - 1)
     store = TreeStore(
         feature=np.empty(room, dtype=np.int32), threshold=np.empty(room),
         left=np.empty(room, dtype=np.int32), right=np.empty(room, dtype=np.int32),
         value=np.empty(room), node_start=np.zeros(n_trees + 1, dtype=np.int64),
-        inbag=np.empty((n_trees, n), dtype=np.int64),
-        oob=np.empty(n_trees * n, dtype=np.int64),
+        inbag=np.empty((n_trees, width), dtype=np.int64),
+        oob=np.empty(n_trees * n_rows, dtype=np.int64),
         oob_start=np.zeros(n_trees + 1, dtype=np.int64))
-    base = _candidate_base(k, p)
-    draws = np.empty((min(n_trees, _BATCH), k, p), dtype=np.int64)
+    draws = np.empty((min(n_trees, _BATCH), k, p), dtype=np.int32)
     slots = list(draws)
     outputs = [a.ctypes.data for a in (store.feature, store.threshold, store.left, store.right,
                                        store.value, store.node_start, store.oob, store.oob_start)]
     grow = functools.partial(
-        _kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n, p,
-        store.inbag.ctypes.data, draws.ctypes.data, k, mtry, min_node_size, room, *outputs)
+        _kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n_rows, p,
+        sizes.ctypes.data, width, store.inbag.ctypes.data, draws.ctypes.data, mtry,
+        min_node_size, room, *outputs)
     first = 0
-    for t, rng in enumerate(rngs):
-        store.inbag[t] = rng.integers(0, n, size=n)
-        rng.permuted(base, axis=1, out=slots[t - first])
+    for t, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
+        draw = rng.integers(0, n, size=n)
+        # each draw mapped through the tree's rows keeps the order of the draws
+        store.inbag[t, :n] = draw if rows is None else rows[t][draw]
+        k = n // min_node_size
+        rng.permuted(_candidate_base(k, p), axis=1, out=slots[t - first][:k])
         if t + 1 - first == len(slots) or t + 1 == n_trees:
             status = grow(first, t + 1)
             if status == -2:
@@ -250,13 +260,13 @@ def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
     return store
 
 
-def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
-    """Fit a random forest; fully reproducible from (data, params, seed)."""
-    params = params or ForestParams()
-    n, p = data.X.shape
+def _checked_mtry(y: np.ndarray, p: int, params: ForestParams) -> int:
+    """The mtry of a forest on the training targets ``y`` and p predictors,
+    after checking that a forest can be grown on them."""
+    n = y.size
     if p == 0:
         raise EmptyPredictors("no predictor columns")
-    if np.ptp(data.y) == 0.0:
+    if np.ptp(y) == 0.0:
         raise DegenerateTarget("target is constant")
     if n < 2 * params.min_node_size:
         raise TooShort(
@@ -269,20 +279,71 @@ def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -
         raise ValueError(f"min_node_size must be at least 1, got {params.min_node_size}")
     if params.n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {params.n_trees}")
+    return mtry
 
-    store = _grow_forest(
-        data.X, data.ranks, data.y, mtry, params.min_node_size, params.n_trees,
-        (substream(seed, _TREE_STREAM, t) for t in range(params.n_trees)))
+
+def _tree_streams(seed: int, n_trees: int):
+    return seeding.substreams(seed, ((_TREE_STREAM, t) for t in range(n_trees)))
+
+
+def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
+    """Fit a random forest; fully reproducible from (data, params, seed)."""
+    params = params or ForestParams()
+    mtry = _checked_mtry(data.y, data.X.shape[1], params)
+    store = _grow_forest(data.X, data.ranks, data.y, mtry, params.min_node_size,
+                         params.n_trees, _tree_streams(seed, params.n_trees))
     return ForestModel(trees=store.trees(), columns=list(data.columns), params=params,
-                       seed=seed, n_rows=n, store=store)
+                       seed=seed, n_rows=data.X.shape[0], store=store)
+
+
+def cross_predict(data: DesignMatrix, params: ForestParams | None, folds: list[np.ndarray],
+                  seeds: list[int]) -> np.ndarray:
+    """Held-out prediction of every row: the rows of ``folds[f]`` by the
+    forest that ``fit`` grows with seed ``seeds[f]`` on the other rows (with
+    their ranks in ``data``). ``folds`` must partition the rows.
+
+    Bit for bit that per-fold ``fit`` and ``predict``, with the same checks
+    of each fold's training rows in fold order, but no per-fold model is
+    built: the k x n_trees trees grow straight from ``data``, fold by fold
+    and tree by tree, in kernel batches of ``_BATCH`` that may span folds.
+    After each batch one descent adds every tree's predictions of its fold's
+    rows into running per-row sums, in tree order from zero as ``predict``
+    sums, and the batch is dropped.
+    """
+    params = params or ForestParams()
+    n, p = data.X.shape
+    folds = [np.asarray(fold, dtype=np.int64) for fold in folds]
+    trains = []
+    for fold in folds:
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        trains.append(np.flatnonzero(train))
+        mtry = _checked_mtry(data.y[trains[-1]], p, params)
+    n_trees = params.n_trees
+    # tree i of the pair is tree i % n_trees of fold i // n_trees
+    rngs = itertools.chain.from_iterable(_tree_streams(seed, n_trees) for seed in seeds)
+    sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+    total = len(folds) * n_trees
+    for first in range(0, total, _BATCH):
+        fold_of = [i // n_trees for i in range(first, min(first + _BATCH, total))]
+        store = _grow_forest(data.X, data.ranks, data.y, mtry, params.min_node_size,
+                             len(fold_of), itertools.islice(rngs, len(fold_of)),
+                             [trains[f] for f in fold_of])
+        # each tree predicts its fold's rows, a subset of its out-of-bag rows
+        store.oob = np.concatenate([folds[f] for f in fold_of])
+        store.oob_start = np.cumsum([0] + [folds[f].size for f in fold_of])
+        _descend_forest(store, data.X, True, totals=(sums, counts))
+    return sums / n_trees
 
 
 def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=None,
-                    perms=None):
+                    perms=None, totals=None):
     """Per-row sums, in tree order, of the leaf values that the rows of the
     contiguous float64 array X reach in every tree of ``store``, and per-row
     tree counts. With ``oob`` (X then being the training rows) each tree
-    predicts only its out-of-bag rows; otherwise the counts stay zero.
+    predicts only its out-of-bag rows; otherwise the counts stay zero. The
+    sums and counts start from zero, or add into ``totals``, a (sums, counts)
+    pair of arrays of n float64 and int64 values.
 
     Given a tree index ``tree`` (with ``oob``), k predictor indices ``cols``
     and a k x m array ``perms`` of permutations of the tree's m out-of-bag
@@ -294,7 +355,7 @@ def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=
     n, p = X.shape
     if tree is None:
         first, last, k, row = 0, len(store.inbag), 0, None
-        sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+        sums, counts = totals or (np.zeros(n), np.zeros(n, dtype=np.int64))
     else:
         if not oob:
             raise ValueError("a single tree's permuted copies need its out-of-bag rows")
@@ -369,8 +430,9 @@ def permutation_importance(
         trees_used += 1
         feature = store.feature[nodes[t]:nodes[t + 1]]
         used = np.unique(feature[feature >= 0])
-        perms = np.array([substream(seed, _PERM_STREAM, t, int(j)).permutation(o.size)
-                          for j in used], dtype=np.int64).reshape(used.size, o.size)
+        streams = seeding.substreams(seed, [(_PERM_STREAM, t, j) for j in used.tolist()])
+        perms = np.array([rng.permutation(o.size) for rng in streams],
+                         dtype=np.int64).reshape(used.size, o.size)
         d = _descend_forest(store, data.X, True, t, used, perms) - data.y[o]
         # each row's BLAS dot, as ``d @ d`` takes it; einsum and sum round differently
         mse = np.matmul(d[:, None, :], d[:, :, None]).ravel() / o.size

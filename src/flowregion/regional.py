@@ -23,11 +23,11 @@ from .forest import (
     DesignMatrix,
     ForestParams,
     ImportanceReport,
+    cross_predict,
     fit,
     permutation_importance,
-    predict,
 )
-from .seeding import child_seed, substream
+from .seeding import child_seed, child_seeds, substream
 
 logger = logging.getLogger(__name__)
 
@@ -195,16 +195,28 @@ def cross_validate(
 ) -> CrossValResult:
     """k-fold cross-validated prediction of one streamflow feature.
 
-    Every catchment is predicted exactly once (by the model trained without
+    Every catchment is predicted exactly once (by the forest trained without
     its fold) and the RMSE pools all catchments rather than averaging
-    per-fold scores. ``design``, a design matrix of these records whose
-    columns include the group's (its target is ignored), saves assembling
-    and ranking the group's columns again.
+    per-fold scores. ``folds``, when given, overrides ``k`` and the seeded
+    partition; it must put each record in exactly one fold, or
+    :class:`BadK` is raised. ``design``, a design matrix of these records
+    whose columns include the group's (its target is ignored), saves
+    assembling and ranking the group's columns again.
+
+    Each fold's forest is the one ``fit`` grows with the fold's seed on the
+    other folds' rows, and each prediction the one its ``predict`` makes, bit
+    for bit; :func:`forest.cross_predict` grows the pair's forests in kernel
+    batches without building them one by one.
     """
+    n = len(records)
     if folds is None:
-        if len(records) < 2 * k:
+        if n < 2 * k:
             raise BadK(f"need at least {2 * k} records for k={k}")
-        folds = kfold_split(len(records), k, child_seed(seed, "folds"))
+        folds = kfold_split(n, k, child_seed(seed, "folds"))
+    else:
+        rows = np.sort(np.concatenate(folds)) if len(folds) else np.empty(0)
+        if not np.array_equal(rows, np.arange(n)):
+            raise BadK(f"folds must partition the {n} records, each record in one fold")
     columns = group_columns(group)
     y = target_vector(records, target)
     if design is None:
@@ -213,17 +225,8 @@ def cross_validate(
         position = {c: i for i, c in enumerate(design.columns)}
         index = [position[c] for c in columns]
         data = DesignMatrix(columns, design.X[:, index], y, design.ranks[index])
-    predictions = np.empty(len(records))
-    for fold_index, fold in enumerate(folds):
-        train = np.ones(len(records), dtype=bool)
-        train[fold] = False
-        # ranks restricted to the training rows keep their order and ties
-        model = fit(
-            data.subset(np.flatnonzero(train)),
-            params,
-            seed=child_seed(seed, "cv", target, group, fold_index),
-        )
-        predictions[fold] = predict(model, data.X[fold])
+    seeds = child_seeds(seed, [("cv", target, group, f) for f in range(len(folds))])
+    predictions = cross_predict(data, params, folds, seeds)
     return CrossValResult(predictions=predictions, rmse=rmse(predictions, data.y))
 
 
@@ -277,6 +280,8 @@ def evaluate_all(
     unknown = [g for g in groups if g not in GROUP_NAMES]
     if unknown:
         raise ValueError(f"unknown group(s): {', '.join(unknown)}")
+    if len(set(groups)) != len(groups):
+        raise ValueError(f"repeated group(s): {', '.join(groups)}")
     if len(records) < 2 * k:
         raise BadK(f"need at least {2 * k} records for k={k}")
     folds = kfold_split(len(records), k, child_seed(seed, "folds"))

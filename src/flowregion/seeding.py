@@ -4,15 +4,29 @@ Every stochastic step in the package draws from a generator derived from a
 master seed plus a tuple of labels (counters, names). Results are therefore
 independent of scheduling and worker count: a tree, fold or permutation gets
 the same stream no matter where it runs.
+
+A stream is numpy's ``default_rng(SeedSequence(words))``, the words being the
+seed and the labels. :func:`substream` and :func:`child_seed` build the
+``SeedSequence`` for one label. :func:`substreams` and :func:`child_seeds`
+give the same generators and seeds for many labels at once: one call to the
+compiled ``seed_states`` (in ``_tree.c``) hashes every label's words as
+``SeedSequence`` does, and each generator's PCG64 is seeded from those words.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import zlib
 
 import numpy as np
 
+from . import native
+
 _MASK = (1 << 63) - 1
+_LOW = (1 << 32) - 1
+#: the PCG64 state is four uint64 words
+_STATE_WORDS = 4
 
 
 def _as_word(part) -> int:
@@ -37,3 +51,67 @@ def child_seed(seed, *parts) -> int:
     Used when an API boundary takes a seed rather than a generator.
     """
     return int(sequence(seed, *parts).generate_state(1, dtype=np.uint64)[0] & _MASK)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel() -> ctypes.CDLL:
+    lib = native.load()
+    ptr = ctypes.c_void_p
+    lib.seed_states.argtypes = [ptr, ptr, ctypes.c_int64, ptr]
+    lib.seed_states.restype = None
+    # registered here, not at import: importing numpy.random costs ~10 ms
+    np.random.bit_generator.ISeedSequence.register(_Precomputed)
+    return lib
+
+
+def _uint32_words(word: int) -> tuple[int, ...]:
+    """The uint32 words numpy makes of a word below 2**63: little-endian,
+    while the value is nonzero, and one zero word for 0."""
+    return (word,) if word <= _LOW else (word & _LOW, word >> 32)
+
+
+def _states(seed, labels) -> np.ndarray:
+    """``sequence(seed, *label).generate_state(4, np.uint64)`` per label, one
+    row each, from one kernel call."""
+    head = _uint32_words(_as_word(seed))
+    words, offsets = [], [0]
+    for label in labels:
+        words.extend(head)
+        for part in label:
+            words.extend(_uint32_words(_as_word(part)))
+        offsets.append(len(words))
+    out = np.empty((len(offsets) - 1, _STATE_WORDS), dtype=np.uint64)
+    words = np.array(words, dtype=np.uint32)
+    offsets = np.array(offsets, dtype=np.int64)
+    _kernel().seed_states(words.ctypes.data, offsets.ctypes.data, len(out), out.ctypes.data)
+    return out
+
+
+class _Precomputed:
+    """A seed sequence whose PCG64 state was computed already; a numpy
+    ``ISeedSequence`` once :func:`_kernel` has run."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (_STATE_WORDS, np.uint64):
+            raise ValueError("holds only the four uint64 words that seed a PCG64")
+        return self.state
+
+
+def substreams(seed, labels):
+    """``substream(seed, *label)`` for each label, in order, as an iterator.
+
+    Every label's state is computed by this call; each generator is built as
+    the iterator reaches it, so only the states are held up front.
+    """
+    return (np.random.Generator(np.random.PCG64(_Precomputed(state)))
+            for state in _states(seed, labels))
+
+
+def child_seeds(seed, labels) -> list[int]:
+    """``child_seed(seed, *label)`` for each label, in order."""
+    return [word & _MASK for word in _states(seed, labels)[:, 0].tolist()]

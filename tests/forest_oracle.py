@@ -3,9 +3,9 @@
 Kept as the reference that ``tests/test_tree_kernel.py`` compares the kernel
 with bit for bit. ``grow_forest`` and ``descend_forest`` take the arguments of
 ``forest._grow_forest`` and ``forest._descend_forest``, so a test can patch
-them in and run the same ``fit``, ``predict``, ``oob_error`` and
-``permutation_importance``. They loop over the per-tree ``grow_tree`` and
-``tree_predict``.
+them in and run the same ``fit``, ``predict``, ``oob_error``,
+``permutation_importance`` and ``cross_predict``. They loop over the
+per-tree ``grow_tree`` and ``tree_predict``.
 
 The grower sorts integer keys instead of floats at each node: every value is
 replaced by its dense rank within its column, shifted into the high 32 bits,
@@ -167,10 +167,27 @@ def tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
     return out if cols is None else out.reshape(len(cols), n)
 
 
-def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
-    """One ``grow_tree`` per generator, packed as ``forest._grow_forest`` packs."""
-    trees = [grow_tree(X, ranks, y, mtry, min_node_size, rng) for rng in rngs]
+def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> TreeStore:
+    """One ``grow_tree`` per generator, packed as ``forest._grow_forest`` packs.
+
+    With ``rows``, tree t grows on ``X[rows[t]]`` and ``y[rows[t]]``; its
+    bootstrap draws are mapped back through ``rows[t]``, its out-of-bag rows
+    are all rows of X it never drew, and its ``inbag`` row is padded with -1
+    to the largest sample."""
+    trees = []
+    for t, rng in enumerate(rngs):
+        if rows is None:
+            trees.append(grow_tree(X, ranks, y, mtry, min_node_size, rng))
+            continue
+        tree = grow_tree(X[rows[t]], None, y[rows[t]], mtry, min_node_size, rng)
+        tree.inbag = rows[t][tree.inbag]
+        tree.oob = np.setdiff1d(np.arange(X.shape[0]), tree.inbag)
+        trees.append(tree)
     assert len(trees) == n_trees
+    width = max(tree.inbag.size for tree in trees)
+    inbag = np.full((n_trees, width), -1, dtype=np.int64)
+    for t, tree in enumerate(trees):
+        inbag[t, :tree.inbag.size] = tree.inbag
 
     def packed(name):
         return np.concatenate([getattr(tree, name) for tree in trees])
@@ -179,12 +196,12 @@ def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs) -> TreeStore:
         feature=packed("feature"), threshold=packed("threshold"), left=packed("left"),
         right=packed("right"), value=packed("value"),
         node_start=np.cumsum([0] + [tree.feature.size for tree in trees]),
-        inbag=np.stack([tree.inbag for tree in trees]), oob=packed("oob"),
+        inbag=inbag, oob=packed("oob"),
         oob_start=np.cumsum([0] + [tree.oob.size for tree in trees]))
 
 
 def descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=None,
-                   perms=None):
+                   perms=None, totals=None):
     """The sums and counts, or one tree's out-of-bag leaf values and permuted
     copies, of ``forest._descend_forest``, from ``tree_predict`` per tree."""
     trees = store.trees()
@@ -193,8 +210,7 @@ def descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=N
         return np.vstack([tree_predict(trees[tree], Xo),
                           tree_predict(trees[tree], Xo, cols, perms)])
     n = X.shape[0]
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
+    sums, counts = totals or (np.zeros(n), np.zeros(n, dtype=np.int64))
     for t in trees:
         if not oob:
             sums += tree_predict(t, X)

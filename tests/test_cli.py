@@ -167,6 +167,13 @@ class TestCrossval:
         lines = (extracted / "pred_vs_obs.csv").read_text().splitlines()
         assert len(lines) == 1 + 28 * N_SYNTH
 
+    def test_repeated_group_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("crossval", "--out", str(out), "--group", "S", "--group", "S",
+                   *SMALL_SYNTH) == 4
+        assert "--group" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
+
 
 class TestImportance:
     def test_output_shape(self, extracted):

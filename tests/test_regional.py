@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from flowregion.dataio import STATIC_ATTRIBUTES, CatchmentRecord
 from flowregion.engine import FEATURE_NAMES, FeatureVector
 from flowregion.errors import BadK, ConstantVector, DegenerateTarget, LengthMismatch
 from flowregion import regional
-from flowregion.forest import ForestParams
+from flowregion.forest import DesignMatrix, ForestParams, fit, predict
+from flowregion.seeding import child_seed
 from flowregion.regional import (
     ALL_PREDICTORS,
     GROUP_NAMES,
@@ -288,6 +290,88 @@ class TestCrossValidate:
         ) / len(records)
         assert pooled_sq == pytest.approx(weighted, abs=1e-10)
 
+    @pytest.mark.parametrize("folds", [
+        [np.arange(0, 12), np.arange(13, 24)],  # row 12 in no fold
+        [np.arange(0, 13), np.arange(12, 24)],  # row 12 in two folds
+        [np.arange(0, 12), np.arange(12, 25)],  # a row past the last record
+        [],
+    ])
+    def test_folds_must_partition_the_records(self, folds):
+        records = synthetic_records(24, seed=8)
+        with pytest.raises(BadK, match="partition"):
+            cross_validate(records, "entropy", "T", params=FAST, seed=3, folds=folds)
+
+    def test_given_folds_override_k(self):
+        # 15 records are too few for the default k = 10, not for these 3 folds
+        records = synthetic_records(15, seed=8)
+        folds = kfold_split(15, 3, seed=3)
+        given = cross_validate(records, "entropy", "T", params=FAST, seed=3, folds=folds)
+        with pytest.raises(BadK):
+            cross_validate(records, "entropy", "T", params=FAST, seed=3)
+        assert np.isfinite(given.predictions).all()
+
+    def test_peak_memory_does_not_grow_with_the_forest(self):
+        """Cross-validation holds one batch of trees at a time, so its
+        allocation peak at 200 trees per fold stays within 1 MB of that at 16."""
+        records = synthetic_records(511, seed=40)
+        cross_validate(records, "x_acf1", "STP", params=ForestParams(n_trees=2), seed=1)
+        peaks = []
+        for trees in (16, 200):
+            tracemalloc.start()
+            try:
+                cross_validate(records, "x_acf1", "STP", params=ForestParams(n_trees=trees),
+                               seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+
+def per_fold_reference(records, target, group, params, seed, folds):
+    """Held-out predictions of one forest per fold, fitted on the other
+    folds' rows with the full matrix's ranks at those rows, then predicted."""
+    columns = group_columns(group)
+    X = predictor_matrix(records, columns)
+    y = target_vector(records, target)
+    ranks = DesignMatrix(columns, X, y).ranks
+    predictions = np.empty(len(records))
+    for f, fold in enumerate(folds):
+        train = np.setdiff1d(np.arange(len(records)), fold)
+        model = fit(DesignMatrix(columns, X[train], y[train], ranks[:, train]), params,
+                    seed=child_seed(seed, "cv", target, group, f))
+        predictions[fold] = predict(model, X[fold])
+    return predictions
+
+
+def tied_records(n, seed):
+    """Records whose static attributes are small integers: heavy ties."""
+    records = synthetic_records(n, seed=seed)
+    for r in records:
+        r.static = {a: float(round(v)) for a, v in r.static.items()}
+    return records
+
+
+# (group, records, k, trees, min_node_size, tied static attributes)
+PER_FOLD_CASES = (
+    [(g, 31, 4, 5, 5, False) for g in GROUP_NAMES]  # 31 rows: folds of 8, 8, 8, 7
+    + [("S", 24, 3, 7, 1, True),  # 21 trees: the first batch spans all three folds
+       ("ST", 40, 3, 7, 2, True),
+       ("TP", 30, 2, 40, 5, False)]  # each fold's trees span batches
+)
+
+
+@pytest.mark.parametrize("group, n, k, trees, min_node, tied", PER_FOLD_CASES)
+def test_cross_validate_equals_per_fold_forests(group, n, k, trees, min_node, tied):
+    records = tied_records(n, seed=n) if tied else synthetic_records(n, seed=n)
+    params = ForestParams(n_trees=trees, min_node_size=min_node)
+    folds = kfold_split(n, k, seed=n + 1)
+    for target in ("entropy", "x_acf1"):
+        result = cross_validate(records, target, group, params=params, seed=n + 2,
+                                folds=folds)
+        expected = per_fold_reference(records, target, group, params, n + 2, folds)
+        assert result.predictions.tobytes() == expected.tobytes(), target
+        assert result.rmse == rmse(expected, target_vector(records, target))
+
 
 @pytest.fixture(scope="module")
 def full_report():
@@ -329,6 +413,11 @@ class TestEvaluateAll:
         assert report.prediction_group == "STP"
         assert set(report.predicted) == set(FEATURE_NAMES)
         assert all(v.size == 24 for v in report.predicted.values())
+
+    def test_repeated_group_rejected(self):
+        records = synthetic_records(24, seed=12)
+        with pytest.raises(ValueError, match="repeated"):
+            evaluate_all(records, ForestParams(n_trees=2), seed=13, k=3, groups=("S", "S"))
 
     def test_restricted_groups(self):
         records = synthetic_records(24, seed=12)

@@ -138,3 +138,31 @@ def test_min_node_size_must_be_positive():
     data = _design(20, 2, "normal", "normal", seed=0)
     with pytest.raises(ValueError):
         fit(data, ForestParams(n_trees=1, min_node_size=0))
+
+
+# (n, p, min_node_size, mtry, columns, target, k, trees); k * trees > 16, so
+# kernel batches span folds
+FOLD_CASES = [
+    (24, 3, 2, 3, "signed_zero", "zero_inflated", 3, 7),
+    (31, 5, 1, None, "tied", "normal", 4, 7),
+    (60, 8, 5, None, "pairs", "normal", 5, 4),
+    (45, 19, 1, None, "duplicated", "normal", 2, 20),
+]
+
+
+@pytest.mark.parametrize("n, p, min_node, mtry, columns, target, k, trees", FOLD_CASES)
+def test_fold_restricted_growth_matches_oracle(n, p, min_node, mtry, columns, target, k,
+                                               trees, monkeypatch):
+    """cross_predict grows each tree on the rows outside its fold (folds of
+    unequal size, so unequal samples), from the full matrix's ranks; the
+    numpy grower given only those rows agrees."""
+    data = _design(n, p, columns, target, seed=n + p)
+    folds = np.array_split(np.random.default_rng(n).permutation(n), k)
+    seeds = [n * p + f for f in range(k)]
+    params = ForestParams(n_trees=trees, mtry=mtry, min_node_size=min_node)
+    kernel = forest.cross_predict(data, params, folds, seeds)
+    with monkeypatch.context() as patch:
+        patch.setattr(forest, "_grow_forest", forest_oracle.grow_forest)
+        patch.setattr(forest, "_descend_forest", forest_oracle.descend_forest)
+        oracle = forest.cross_predict(data, params, folds, seeds)
+    assert kernel.tobytes() == oracle.tobytes()
