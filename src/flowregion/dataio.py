@@ -19,7 +19,6 @@ import calendar
 import csv
 import ctypes
 import datetime
-import functools
 import logging
 import math
 import re
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dependence, native
+from . import native
 from .engine import (
     Exclusion,
     FeatureConfig,
@@ -119,15 +118,6 @@ def expected_dates(config: IngestConfig) -> list[datetime.date]:
 SERIES_DTYPE = np.dtype([("day", np.int64), ("value", np.float64)])
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel() -> ctypes.CDLL:
-    lib = native.load(native.INGEST_SOURCE)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.parse_series.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr]
-    lib.parse_series.restype = i64
-    return lib
-
-
 def read_series_file(path) -> np.ndarray:
     """Parse a ``date,value`` file into a :data:`SERIES_DTYPE` array.
 
@@ -139,7 +129,7 @@ def read_series_file(path) -> np.ndarray:
     ``plain_decimal`` there) in one pass; Python's ``float()`` converts the
     other values. A file that fails any check is scanned line by line for
     the :class:`ParseError` that names its first bad line. Raises
-    :class:`KernelBuildError` when the kernel cannot be built.
+    :class:`KernelBuildError` when the kernel library cannot be built.
     """
     data = Path(path).read_bytes()
     if b"\r" in data:
@@ -167,8 +157,8 @@ def _parse_body(raw: bytes, body: str) -> np.ndarray | None:
     out = np.empty(capacity, dtype=SERIES_DTYPE)
     deferred = np.empty(capacity, dtype=np.int64)
     n_deferred = ctypes.c_int64()
-    rows = _kernel().parse_series(raw, len(raw), out.ctypes.data, deferred.ctypes.data,
-                                  ctypes.byref(n_deferred))
+    rows = native.kernel().parse_series(raw, len(raw), out.ctypes.data, deferred.ctypes.data,
+                                        ctypes.byref(n_deferred))
     if rows < 0:
         return None
     out = out[:rows]
@@ -325,9 +315,6 @@ def load_dataset(
     config = config or IngestConfig()
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
-    # workers inherit them; a failed build stops here, before any fork
-    dependence._kernel()
-    _kernel()
     loaded = parallel_map(_load_catchment, ids, config.workers,
                           shared=(Path(series_dir), config))
     rows, exclusions = collect_results(

@@ -5,15 +5,14 @@ and differenced series, the PACF family, the seasonal lag-365 statistics and
 the spectral entropy of the periodogram.
 
 The lag sums of the ACF and the Durbin-Levinson recursion of the PACF run in
-the compiled kernel ``_acf.c``, built by :mod:`flowregion.native` on first
-use. Each of their sums adds its terms in one fixed order, so these features
-do not depend on the BLAS library or its thread count.
+the compiled kernel ``_acf.c``, loaded by :func:`flowregion.native.kernel`
+on first use. Each of their sums adds its terms in one fixed order, so these
+features do not depend on the BLAS library or its thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 
 import numpy as np
 
@@ -35,17 +34,6 @@ _ACF_BLOCK = 32
 _FIRSTZERO_SCAN_FACTOR = 2
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel() -> ctypes.CDLL:
-    lib = native.load(native.ACF_SOURCE)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.lag_sums.argtypes = [ptr, i64, i64, i64, ptr]
-    lib.lag_sums.restype = None
-    lib.durbin_levinson.argtypes = [ptr, i64, ptr, ptr, ptr]
-    lib.durbin_levinson.restype = i64
-    return lib
-
-
 def _lag_sums(xc: np.ndarray, first: int, last: int) -> np.ndarray:
     """sum_t xc[t] * xc[t+k] at lags k = first..last (last < xc.size), in
     chunks of 128 terms: see ``lag_sums`` in ``_acf.c``."""
@@ -53,7 +41,7 @@ def _lag_sums(xc: np.ndarray, first: int, last: int) -> np.ndarray:
     if xc.ndim != 1 or not 0 <= first <= last < xc.size:
         raise ValueError(f"lags {first}..{last} out of range for {xc.shape} values")
     out = np.empty(last - first + 1)
-    _kernel().lag_sums(xc.ctypes.data, xc.size, first, last, out.ctypes.data)
+    native.kernel().lag_sums(xc.ctypes.data, xc.size, first, last, out.ctypes.data)
     return out
 
 
@@ -91,8 +79,8 @@ def pacf_from_acf(r: np.ndarray) -> np.ndarray:
     phi = np.empty(r.size)
     work = np.empty(r.size)
     den = ctypes.c_double()
-    order = _kernel().durbin_levinson(r.ctypes.data, r.size, phi.ctypes.data,
-                                      work.ctypes.data, ctypes.byref(den))
+    order = native.kernel().durbin_levinson(r.ctypes.data, r.size, phi.ctypes.data,
+                                            work.ctypes.data, ctypes.byref(den))
     if order:
         raise NumericalSingularity(
             f"Durbin-Levinson denominator {den.value:.3e} at order {order}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decomposition, dependence, distributional
+from . import decomposition, dependence, distributional, native
 from .errors import (
     ConfigError,
     ExtractionFailed,
@@ -187,6 +187,7 @@ def parallel_map(fn, items, workers: int, shared=None) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(shared, item) for item in items]
+    native.kernel()  # workers inherit it; a failed build stops here, before any fork
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
         return list(pool.map(_run_item, items))
@@ -260,7 +261,6 @@ def extract_batch(
     under policy="drop" failing records become logged exclusions.
     """
     check_policy(policy)
-    dependence._kernel()  # workers inherit it; a failed build stops here, before any fork
     ordered = sorted(tasks, key=lambda t: (t[0], t[1]))
     return collect_results(parallel_map(_extract_task, ordered, workers, shared=config),
                            policy)

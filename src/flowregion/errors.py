@@ -81,7 +81,7 @@ class NoOobCoverage(FlowRegionError):
 
 
 class KernelBuildError(FlowRegionError):
-    """A compiled kernel could not be built; carries the compiler's stderr."""
+    """The kernel library could not be built; carries the compiler's stderr."""
 
     def __init__(self, message, stderr=""):
         self.stderr = stderr

@@ -7,10 +7,10 @@ the lower predictor index, then the lower threshold. Every stochastic step
 draws from a substream keyed on (seed, tree index), so each tree is
 bit-identical whatever was grown before it.
 
-Growth and descent run in a compiled kernel (``_tree.c``, built on first use
-by :mod:`flowregion.native`). The generators of a forest's trees are seeded
-by one kernel call (:func:`flowregion.seeding.substreams`). Python draws
-each tree's bootstrap sample and its per-node candidate orders from the
+Growth and descent run in the compiled kernel ``_tree.c``, loaded by
+:func:`flowregion.native.kernel`. The generators of a forest's trees are
+seeded by one kernel call (:func:`flowregion.seeding.substreams`). Python
+draws each tree's bootstrap sample and its per-node candidate orders from the
 tree's generator, into buffers reused across a forest; one kernel call per
 batch of trees grows them into the forest's single node store
 (:class:`TreeStore`) and lists their out-of-bag rows. A tree may be
@@ -49,7 +49,6 @@ copy's permuted value in and back out around that copy's descent.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import logging
@@ -57,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeding
+from . import native, seeding
 from .errors import (
     ColumnMismatch,
     DegenerateTarget,
@@ -185,19 +184,6 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel() -> ctypes.CDLL:
-    lib = seeding._kernel()  # one load of _tree.c serves the seeding too
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.grow_forest.argtypes = [ptr, ptr, ptr, i64, i64, ptr, i64, ptr, ptr, i64, i64, i64,
-                                ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
-    lib.grow_forest.restype = i64
-    lib.descend_forest.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, i64, i64, i64,
-                                   ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.descend_forest.restype = None
-    return lib
-
-
 #: trees grown per kernel call, whose candidate draws are held at once; also
 #: the trees that cross_predict holds at once
 _BATCH = 16
@@ -240,7 +226,7 @@ def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> 
     outputs = [a.ctypes.data for a in (store.feature, store.threshold, store.left, store.right,
                                        store.value, store.node_start, store.oob, store.oob_start)]
     grow = functools.partial(
-        _kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n_rows, p,
+        native.kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n_rows, p,
         sizes.ctypes.data, width, store.inbag.ctypes.data, draws.ctypes.data, mtry,
         min_node_size, room, *outputs)
     first = 0
@@ -366,7 +352,7 @@ def _descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=
         if perms.shape != (k, m):
             raise ValueError(f"perms must be {k} x {m}, got {perms.shape}")
         sums, row = np.empty((1 + k, m)), np.empty(p)
-    _kernel().descend_forest(
+    native.kernel().descend_forest(
         store.feature.ctypes.data, store.threshold.ctypes.data, store.left.ctypes.data,
         store.right.ctypes.data, store.value.ctypes.data, store.node_start.ctypes.data,
         first, last, X.ctypes.data, n, p, k,

@@ -1,21 +1,23 @@
 """Build and load the package's compiled kernels on first use.
 
-There are three C sources: the tree kernel ``_tree.c``
-(:mod:`flowregion.forest`), the autocorrelation kernel ``_acf.c``
-(:mod:`flowregion.dependence`) and the series-file parser ``_ingest.c``
-(:mod:`flowregion.dataio`). Each is compiled with the C compiler Python was
-built with (sysconfig ``CC``) and fixed flags, and cached under this
-package's ``__pycache__``. The cached file is named by the sha256 of the
-source, the compiler command, the flags and the compiler's ``--version``
-output, so an edited source or another compiler is never served a stale
-build. A build writes a temporary file and
-renames it into place, so processes that build at once each load a complete
-library. Nothing is built at import.
+Three C sources make one shared library: the tree kernel ``_tree.c``
+(:mod:`flowregion.forest` and :mod:`flowregion.seeding`), the
+autocorrelation kernel ``_acf.c`` (:mod:`flowregion.dependence`) and the
+series-file parser ``_ingest.c`` (:mod:`flowregion.dataio`). They are
+compiled together with the C compiler Python was built with (sysconfig
+``CC``) and fixed flags, and cached under this package's ``__pycache__``.
+The cached file is named by the sha256 of every source, the compiler
+command, the flags and the compiler's ``--version`` output, so an edited
+source or another compiler is never served a stale build. A build writes a
+temporary file and renames it into place, so processes that build at once
+each load a complete library. :func:`kernel` loads the library once per
+process, on first use; nothing is built at import.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -26,14 +28,26 @@ from pathlib import Path
 
 from .errors import KernelBuildError
 
-SOURCE = Path(__file__).with_name("_tree.c")
-ACF_SOURCE = Path(__file__).with_name("_acf.c")
-INGEST_SOURCE = Path(__file__).with_name("_ingest.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_tree.c", "_acf.c", "_ingest.c"))
 CACHE = Path(__file__).with_name("__pycache__")
 
 #: No -ffast-math or -march=native: the kernels must keep IEEE arithmetic
 #: step for step, and -ffp-contract=off forbids fused multiply-adds.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_ptr, _i64 = ctypes.c_void_p, ctypes.c_int64
+
+#: (argtypes, restype) of every entry of the library
+_ENTRIES = {
+    "grow_forest": ([_ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _i64, _i64,
+                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64], _i64),
+    "descend_forest": ([_ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _i64, _i64,
+                        _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr], None),
+    "seed_states": ([_ptr, _ptr, _i64, _ptr], None),
+    "lag_sums": ([_ptr, _i64, _i64, _i64, _ptr], None),
+    "durbin_levinson": ([_ptr, _i64, _ptr, _ptr, _ptr], _i64),
+    "parse_series": ([ctypes.c_char_p, _i64, _ptr, _ptr, _ptr], _i64),
+}
 
 
 def _compiler() -> list[str]:
@@ -50,13 +64,13 @@ def _run(command: list[str]) -> subprocess.CompletedProcess:
     return done
 
 
-def build(source: Path = SOURCE, cache: Path = CACHE) -> Path:
-    """Path of the shared library built from ``source``, compiling it into
-    ``cache`` unless a build of the same source, compiler and flags is there."""
+def build(sources: tuple[Path, ...] = SOURCES, cache: Path = CACHE) -> Path:
+    """Path of the shared library built from ``sources``, compiling it into
+    ``cache`` unless a build of the same sources, compiler and flags is there."""
     compiler = _compiler()
     version = _run([*compiler, "--version"]).stdout
-    key = repr((source.read_bytes(), compiler, FLAGS, version)).encode()
-    target = cache / f"{source.stem}-{hashlib.sha256(key).hexdigest()[:24]}.so"
+    key = repr(([s.read_bytes() for s in sources], compiler, FLAGS, version)).encode()
+    target = cache / f"kernels-{hashlib.sha256(key).hexdigest()[:24]}.so"
     if target.exists():
         return target
     try:
@@ -66,7 +80,7 @@ def build(source: Path = SOURCE, cache: Path = CACHE) -> Path:
     except OSError as exc:
         raise KernelBuildError(f"cannot write the kernel cache {cache}: {exc}") from exc
     try:
-        _run([*compiler, *FLAGS, "-o", tmp, str(source)])
+        _run([*compiler, *FLAGS, "-o", tmp, *map(str, sources)])
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -74,6 +88,18 @@ def build(source: Path = SOURCE, cache: Path = CACHE) -> Path:
     return target
 
 
-def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL:
-    """The kernel library built from ``source``, built first if needed."""
-    return ctypes.CDLL(str(build(source, cache)))
+def load(sources: tuple[Path, ...] = SOURCES, cache: Path = CACHE) -> ctypes.CDLL:
+    """The library built from ``sources``, built first if needed."""
+    return ctypes.CDLL(str(build(sources, cache)))
+
+
+@functools.lru_cache(maxsize=None)
+def kernel() -> ctypes.CDLL:
+    """The package's library with every entry typed, loaded once per process.
+
+    Raises :class:`KernelBuildError` when it cannot be built."""
+    lib = load()
+    for name, (argtypes, restype) in _ENTRIES.items():
+        entry = getattr(lib, name)
+        entry.argtypes, entry.restype = argtypes, restype
+    return lib

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import forest
 from .dataio import ANALYSIS_VARIABLES, STATIC_ATTRIBUTES, CatchmentRecord
 from .engine import FEATURE_NAMES, parallel_map
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
@@ -198,10 +197,10 @@ def cross_validate(
     Every catchment is predicted exactly once (by the forest trained without
     its fold) and the RMSE pools all catchments rather than averaging
     per-fold scores. ``folds``, when given, overrides ``k`` and the seeded
-    partition; it must put each record in exactly one fold, or
-    :class:`BadK` is raised. ``design``, a design matrix of these records
-    whose columns include the group's (its target is ignored), saves
-    assembling and ranking the group's columns again.
+    partition; it must put each record in exactly one fold, and no fold may
+    hold every record, or :class:`BadK` is raised. ``design``, a design
+    matrix of these records whose columns include the group's (its target is
+    ignored), saves assembling and ranking the group's columns again.
 
     Each fold's forest is the one ``fit`` grows with the fold's seed on the
     other folds' rows, and each prediction the one its ``predict`` makes, bit
@@ -210,13 +209,15 @@ def cross_validate(
     """
     n = len(records)
     if folds is None:
-        if n < 2 * k:
-            raise BadK(f"need at least {2 * k} records for k={k}")
+        if not 2 <= k <= n // 2:
+            raise BadK(f"k must be at least 2 and at most half the {n} records, got {k}")
         folds = kfold_split(n, k, child_seed(seed, "folds"))
     else:
         rows = np.sort(np.concatenate(folds)) if len(folds) else np.empty(0)
         if not np.array_equal(rows, np.arange(n)):
             raise BadK(f"folds must partition the {n} records, each record in one fold")
+        if any(len(fold) == n for fold in folds):
+            raise BadK(f"a fold holds all {n} records and leaves none to train on")
     columns = group_columns(group)
     y = target_vector(records, target)
     if design is None:
@@ -282,11 +283,10 @@ def evaluate_all(
         raise ValueError(f"unknown group(s): {', '.join(unknown)}")
     if len(set(groups)) != len(groups):
         raise ValueError(f"repeated group(s): {', '.join(groups)}")
-    if len(records) < 2 * k:
-        raise BadK(f"need at least {2 * k} records for k={k}")
+    if not 2 <= k <= len(records) // 2:
+        raise BadK(f"k must be at least 2 and at most half the {len(records)} records, got {k}")
     folds = kfold_split(len(records), k, child_seed(seed, "folds"))
     pairs = [(target, group) for target in FEATURE_NAMES for group in groups]
-    forest._kernel()  # workers inherit it; a failed build stops here, before any fork
     # one predictor matrix and one ranking serve every pair
     outcomes = parallel_map(_cv_job, pairs, workers,
                             shared=(records, params, seed, folds, _full_design(records)))
@@ -353,7 +353,6 @@ def importance_all(
     workers: int = 1,
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
-    forest._kernel()  # workers inherit it; a failed build stops here, before any fork
     # one predictor matrix and one ranking serve every target
     return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
                              shared=(records, _full_design(records), params, seed)))

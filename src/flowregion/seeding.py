@@ -8,15 +8,14 @@ the same stream no matter where it runs.
 A stream is numpy's ``default_rng(SeedSequence(words))``, the words being the
 seed and the labels. :func:`substream` and :func:`child_seed` build the
 ``SeedSequence`` for one label. :func:`substreams` and :func:`child_seeds`
-give the same generators and seeds for many labels at once: one call to the
-compiled ``seed_states`` (in ``_tree.c``) hashes every label's words as
-``SeedSequence`` does, and each generator's PCG64 is seeded from those words.
+give the same generators and seeds for many labels at once: one call to
+``seed_states`` in the compiled ``_tree.c`` (:func:`flowregion.native.kernel`)
+hashes every label's words as ``SeedSequence`` does, and each generator's
+PCG64 is seeded from those words.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import zlib
 
 import numpy as np
@@ -53,17 +52,6 @@ def child_seed(seed, *parts) -> int:
     return int(sequence(seed, *parts).generate_state(1, dtype=np.uint64)[0] & _MASK)
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel() -> ctypes.CDLL:
-    lib = native.load()
-    ptr = ctypes.c_void_p
-    lib.seed_states.argtypes = [ptr, ptr, ctypes.c_int64, ptr]
-    lib.seed_states.restype = None
-    # registered here, not at import: importing numpy.random costs ~10 ms
-    np.random.bit_generator.ISeedSequence.register(_Precomputed)
-    return lib
-
-
 def _uint32_words(word: int) -> tuple[int, ...]:
     """The uint32 words numpy makes of a word below 2**63: little-endian,
     while the value is nonzero, and one zero word for 0."""
@@ -83,13 +71,13 @@ def _states(seed, labels) -> np.ndarray:
     out = np.empty((len(offsets) - 1, _STATE_WORDS), dtype=np.uint64)
     words = np.array(words, dtype=np.uint32)
     offsets = np.array(offsets, dtype=np.int64)
-    _kernel().seed_states(words.ctypes.data, offsets.ctypes.data, len(out), out.ctypes.data)
+    native.kernel().seed_states(words.ctypes.data, offsets.ctypes.data, len(out), out.ctypes.data)
     return out
 
 
 class _Precomputed:
     """A seed sequence whose PCG64 state was computed already; a numpy
-    ``ISeedSequence`` once :func:`_kernel` has run."""
+    ``ISeedSequence`` once :func:`substreams` has run."""
 
     __slots__ = ("state",)
 
@@ -108,6 +96,8 @@ def substreams(seed, labels):
     Every label's state is computed by this call; each generator is built as
     the iterator reaches it, so only the states are held up front.
     """
+    # registered here, not at import: importing numpy.random costs ~10 ms
+    np.random.bit_generator.ISeedSequence.register(_Precomputed)
     return (np.random.Generator(np.random.PCG64(_Precomputed(state)))
             for state in _states(seed, labels))
 

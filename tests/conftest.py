@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from flowregion import native
+from flowregion.errors import KernelBuildError
 from flowregion.series import StandardizedSeries, TimeSeries, zscore
 
 settings.register_profile("default", deadline=None)
@@ -42,3 +44,16 @@ def daily_series(values, period=365, kind="streamflow"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """The kernel library cannot be built: nothing is loaded and every build
+    fails. Request it after any fixture that needs the kernels."""
+    def fail(*args, **kwargs):
+        raise KernelBuildError("cannot run the C compiler 'cc'")
+
+    native.kernel.cache_clear()
+    monkeypatch.setattr(native, "build", fail)
+    yield
+    native.kernel.cache_clear()

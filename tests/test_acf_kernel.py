@@ -2,7 +2,6 @@
 kernel that cannot be built does to a batch, and features that do not depend
 on the BLAS thread count."""
 
-import contextlib
 import datetime
 import os
 import subprocess
@@ -106,22 +105,6 @@ def test_features_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def _fail_build(*args, **kwargs):
-    raise KernelBuildError("cannot run the C compiler 'cc'")
-
-
-@contextlib.contextmanager
-def _no_compiler():
-    """The ACF kernel cannot be built: nothing is cached and every build fails."""
-    dependence._kernel.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "build", _fail_build)
-            yield
-    finally:
-        dependence._kernel.cache_clear()
-
-
 @pytest.fixture
 def dataset(tmp_path):
     spec = SyntheticSpec(n_catchments=2, start_year=1999, n_years=3)
@@ -129,25 +112,24 @@ def dataset(tmp_path):
     return tmp_path / "series", tmp_path / "attributes.csv"
 
 
-def test_build_failure_aborts_batch_under_drop_policy():
+def test_build_failure_aborts_batch_under_drop_policy(no_compiler):
     tasks = [(f"c{i}", "streamflow", TimeSeries(sine(1095, noise_sd=0.3, seed=i)))
              for i in range(3)]
-    with _no_compiler(), pytest.raises(KernelBuildError):
+    with pytest.raises(KernelBuildError):
         extract_batch(tasks, policy="drop")
 
 
-def test_build_failure_aborts_load_dataset_under_drop_policy(dataset):
+def test_build_failure_aborts_load_dataset_under_drop_policy(dataset, no_compiler):
     config = IngestConfig(start=datetime.date(1999, 1, 1), end=datetime.date(2001, 12, 31),
                           policy="drop")
-    with _no_compiler(), pytest.raises(KernelBuildError):
+    with pytest.raises(KernelBuildError):
         load_dataset(*dataset, config)
 
 
-def test_build_failure_exits_through_the_cli(dataset, tmp_path, capsys):
+def test_build_failure_exits_through_the_cli(dataset, no_compiler, tmp_path, capsys):
     series_dir, attributes = dataset
-    with _no_compiler():
-        code = cli.main(["extract", "--out", str(tmp_path / "out"), "--series-dir",
-                         str(series_dir), "--attributes", str(attributes), "--drop",
-                         "--start", "1999-01-01", "--end", "2001-12-31", "--workers", "1"])
+    code = cli.main(["extract", "--out", str(tmp_path / "out"), "--series-dir",
+                     str(series_dir), "--attributes", str(attributes), "--drop",
+                     "--start", "1999-01-01", "--end", "2001-12-31", "--workers", "1"])
     assert code == cli.EXIT_EXTRACTION
     assert "C compiler" in capsys.readouterr().err

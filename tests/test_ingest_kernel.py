@@ -2,7 +2,6 @@
 ordinals equal to date.toordinal(), and what a kernel that cannot be built
 does to a read, a load and the CLI."""
 
-import contextlib
 import ctypes
 import datetime
 import random
@@ -10,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from flowregion import cli, dataio, native
+from flowregion import cli, dataio, engine, native
 from flowregion.dataio import IngestConfig, load_dataset, read_series_file
 from flowregion.errors import KernelBuildError
 from flowregion.synthetic import SyntheticSpec, generate
@@ -23,8 +22,8 @@ def kernel_parse(raw: bytes, size=None):
     rows = np.empty(raw.count(b"\n") + 1, dtype=dataio.SERIES_DTYPE)
     deferred = np.empty(rows.size, dtype=np.int64)
     n_deferred = ctypes.c_int64()
-    count = dataio._kernel().parse_series(raw, size, rows.ctypes.data, deferred.ctypes.data,
-                                          ctypes.byref(n_deferred))
+    count = native.kernel().parse_series(raw, size, rows.ctypes.data, deferred.ctypes.data,
+                                         ctypes.byref(n_deferred))
     if count < 0:
         return None
     return rows[:count], deferred[:n_deferred.value].tolist()
@@ -112,27 +111,6 @@ def test_kernel_stops_at_its_length():
     assert kernel_parse(raw) is None
 
 
-def _fail_ingest_build(build):
-    def fail(source=native.SOURCE, cache=native.CACHE):
-        if source == native.INGEST_SOURCE:
-            raise KernelBuildError("cannot run the C compiler 'cc' for _ingest.c")
-        return build(source, cache)
-    return fail
-
-
-@contextlib.contextmanager
-def _no_compiler():
-    """The ingest kernel cannot be built: nothing is cached and its build
-    fails; the other kernels build as before."""
-    dataio._kernel.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "build", _fail_ingest_build(native.build))
-            yield
-    finally:
-        dataio._kernel.cache_clear()
-
-
 @pytest.fixture
 def dataset(tmp_path):
     spec = SyntheticSpec(n_catchments=2, start_year=1999, n_years=3)
@@ -140,24 +118,29 @@ def dataset(tmp_path):
     return tmp_path / "series", tmp_path / "attributes.csv"
 
 
-def test_build_failure_propagates_from_read_series_file(dataset):
+def test_build_failure_propagates_from_read_series_file(dataset, no_compiler):
     series_dir, _ = dataset
-    with _no_compiler(), pytest.raises(KernelBuildError, match="_ingest.c"):
+    with pytest.raises(KernelBuildError):
         read_series_file(next(series_dir.glob("*_tmin.csv")))
 
 
-def test_build_failure_aborts_load_dataset_under_drop_policy(dataset):
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool started after the build failed")
+
+
+def test_build_failure_aborts_load_dataset_under_drop_policy(dataset, no_compiler,
+                                                             monkeypatch):
     config = IngestConfig(start=datetime.date(1999, 1, 1), end=datetime.date(2001, 12, 31),
-                          policy="drop")
-    with _no_compiler(), pytest.raises(KernelBuildError, match="_ingest.c"):
+                          policy="drop", workers=2)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(KernelBuildError):
         load_dataset(*dataset, config)
 
 
-def test_build_failure_exits_through_the_cli(dataset, tmp_path, capsys):
+def test_build_failure_exits_through_the_cli(dataset, no_compiler, tmp_path, capsys):
     series_dir, attributes = dataset
-    with _no_compiler():
-        code = cli.main(["extract", "--out", str(tmp_path / "out"), "--series-dir",
-                         str(series_dir), "--attributes", str(attributes), "--drop",
-                         "--start", "1999-01-01", "--end", "2001-12-31", "--workers", "2"])
+    code = cli.main(["extract", "--out", str(tmp_path / "out"), "--series-dir",
+                     str(series_dir), "--attributes", str(attributes), "--drop",
+                     "--start", "1999-01-01", "--end", "2001-12-31", "--workers", "2"])
     assert code == cli.EXIT_EXTRACTION
-    assert "_ingest.c" in capsys.readouterr().err
+    assert "C compiler" in capsys.readouterr().err

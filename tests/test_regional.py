@@ -301,6 +301,17 @@ class TestCrossValidate:
         with pytest.raises(BadK, match="partition"):
             cross_validate(records, "entropy", "T", params=FAST, seed=3, folds=folds)
 
+    def test_one_fold_is_bad_k(self):
+        # one fold holds every record, so its forest would have no rows to train on
+        records = synthetic_records(30, seed=8)
+        with pytest.raises(BadK, match="at least 2 and"):
+            cross_validate(records, "entropy", "S", k=1, params=FAST, seed=3)
+        with pytest.raises(BadK, match="at least 2 and"):
+            evaluate_all(records, params=FAST, seed=3, k=1, groups=("S",))
+        for folds in ([np.arange(30)], [np.arange(30), np.arange(0)]):
+            with pytest.raises(BadK, match="none to train on"):
+                cross_validate(records, "entropy", "S", params=FAST, seed=3, folds=folds)
+
     def test_given_folds_override_k(self):
         # 15 records are too few for the default k = 10, not for these 3 folds
         records = synthetic_records(15, seed=8)
