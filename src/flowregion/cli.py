@@ -53,6 +53,7 @@ from .regional import (
     write_summaries,
 )
 from .seeding import child_seed
+from .series import VARIABLE_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -255,7 +256,7 @@ def _extract_records(cfg: RunConfig):
     rows = [
         FeatureRow(r.catchment_id, variable, r.features(variable))
         for r in records
-        for variable in ("precipitation", "streamflow", "temperature")
+        for variable in VARIABLE_KINDS
     ]
     rows.sort(key=lambda row: (row.catchment_id, row.variable))
     write_feature_table(cfg.output_dir / "features.csv", rows)

@@ -39,7 +39,7 @@ from .engine import (
     parallel_map,
 )
 from .errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
-from .series import TimeSeries
+from .series import VARIABLE_KINDS, TimeSeries
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +56,6 @@ LOG_ATTRIBUTES = ("log_elev_mean", "log_slope_mean", "log_area_gages2")
 
 #: Per-catchment input series; temperature is derived as (tmin + tmax) / 2.
 SERIES_VARIABLES = ("tmin", "tmax", "precipitation", "streamflow")
-
-ANALYSIS_VARIABLES = ("temperature", "precipitation", "streamflow")
 
 
 @dataclass
@@ -335,7 +333,7 @@ def assemble_rows(rows: list[FeatureRow], attributes) -> list[CatchmentRecord]:
     records = []
     for cid in sorted(by_catchment):
         vectors = by_catchment[cid]
-        if set(vectors) == set(ANALYSIS_VARIABLES) and cid in attributes:
+        if set(vectors) == set(VARIABLE_KINDS) and cid in attributes:
             records.append(CatchmentRecord(
                 catchment_id=cid,
                 static=attributes[cid],

@@ -7,23 +7,30 @@ the trend. The loop runs exactly two passes and there is no robustness
 (outer) loop, so the only Loess weights are the tricube ones. Nine of the
 twenty-eight features derive from the result.
 
-The Loess smoother exploits the regular time grid. Each fit is a fixed linear
+Every Loess fit is a local line (degree 1), as in STL's ``est`` step, solved
+in closed form: the weighted mean plus the weighted slope times the centre's
+offset from the weighted mean abscissa, with no linear-algebra solve. Where
+only the centre of a window carries weight (the middle of a 3-point window)
+the slope is undefined, and the fit is the local mean, as ``est`` does.
+
+The smoother exploits the regular time grid. Each fit is a fixed linear
 combination of the window's values: interior windows share one kernel, so
 they collapse to a single convolution, computed as a product of real FFTs at
 the power of two >= n, and the asymmetric boundary windows use hat-matrix
-rows that depend only on the window length and degree. Those rows and the
+rows that depend only on the window length and the span. Those rows and the
 kernel's spectrum are built once per process and cached; for windows too wide
 to cache the rows are built block by block on every call.
 
 No feature depends on the BLAS thread count. The Loess interior is an FFT
 (numpy's pocketfft, one thread); each boundary fit is one hat-matrix row
-times one window, so one thread computes each output; and the long dot
-products here (``linearity``, ``curvature``, ``spike``) are numpy pairwise
-sums (:func:`flowregion.series.pairwise_dot`), as are those of
-``nonlinearity`` (one Gram-Schmidt sweep) and of the spectral entropy. The
-only BLAS calls left in feature extraction are the boundary rows, their
-small solves, the spectral entropy's Daniell smoothing (2 * span + 1 terms
-per output, 7 by default) and dot products of at most ten terms.
+times one window, so one thread computes each output; the hat-matrix rows
+are row-wise numpy sums; and the long dot products here (``linearity``,
+``curvature``, ``spike``) are numpy pairwise sums
+(:func:`flowregion.series.pairwise_dot`), as are those of ``nonlinearity``
+(one Gram-Schmidt sweep) and of the spectral entropy. The only BLAS calls
+left in feature extraction are the boundary row products, the spectral
+entropy's Daniell smoothing (2 * span + 1 terms per output, 7 by default)
+and dot products of at most ten terms.
 """
 
 from __future__ import annotations
@@ -34,13 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependence import acf
-from .errors import DegenerateVariance, SingularFit, TooShort
+from .errors import DegenerateVariance, TooShort
 from .series import StandardizedSeries, pairwise_dot
-
-STL_FEATURES = (
-    "trend", "spike", "linearity", "curvature", "e_acf1", "e_acf10",
-    "seasonal_strength", "peak", "trough",
-)
 
 PERIODIC = "periodic"
 
@@ -65,32 +67,6 @@ class Decomposition:
     period: int
 
 
-@dataclass
-class StlFeatureSet:
-    trend_strength: float
-    seasonal_strength: float
-    spike: float
-    linearity: float
-    curvature: float
-    e_acf1: float
-    e_acf10: float
-    peak: int
-    trough: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "trend": self.trend_strength,
-            "spike": self.spike,
-            "linearity": self.linearity,
-            "curvature": self.curvature,
-            "e_acf1": self.e_acf1,
-            "e_acf10": self.e_acf10,
-            "seasonal_strength": self.seasonal_strength,
-            "peak": float(self.peak),
-            "trough": float(self.trough),
-        }
-
-
 def _next_odd(v: int) -> int:
     v = int(np.ceil(v))
     return v if v % 2 == 1 else v + 1
@@ -101,87 +77,74 @@ def _tricube(u: np.ndarray) -> np.ndarray:
     return w * w * w
 
 
-def _hat_rows(q: int, span: int, degree: int, centers: np.ndarray) -> np.ndarray:
-    """Hat-matrix rows of the Loess fits at ``centers`` of a window y[:q].
+def _hat_rows(q: int, span: int, centers: np.ndarray) -> np.ndarray:
+    """Hat-matrix rows of the local-line fits at ``centers`` of a window y[:q].
 
     Each fit is linear in y, and its weights depend only on the window
-    length, the fitted centre and the degree: row i gives the fitted value at
-    centre ``centers[i]`` as a dot product with y[:q]. The tricube scale is
-    the distance to the farther window end, stretched by span / q when the
-    span exceeds the window (span >= n, where the window is the whole series).
+    length and the fitted centre: row i gives the fitted value at centre
+    ``centers[i]`` as a dot product with y[:q]. The tricube scale is the
+    distance to the farther window end, stretched by span / q when the span
+    exceeds the window (span >= n, where the window is the whole series).
+
+    On abscissae centred at their weighted mean, the local line at the
+    centre is ``w * (1/total + t * slope)``; the slope term is 0 where only
+    the centre carries weight, which leaves the local mean.
     """
     t = (np.arange(q)[None, :] - centers[:, None]).astype(np.float64)
     d_max = np.maximum(centers, q - 1 - centers) * (span / q)
-    w = _tricube(np.abs(t) / np.where(d_max > 0, d_max, 1.0)[:, None])
-    if np.any(w.sum(axis=1) <= 0.0):
-        raise SingularFit("all weights vanished inside a local regression window")
-    weighted_powers = [w]  # w * t**a
-    for _ in range(2 * degree):
-        weighted_powers.append(weighted_powers[-1] * t)
-    moments = np.stack([p.sum(axis=1) for p in weighted_powers], axis=1)
-    a_mat = moments[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
-    e0 = np.zeros((centers.size, degree + 1, 1))
-    e0[:, 0] = 1.0
-    try:
-        g = np.linalg.solve(a_mat, e0)[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularFit(f"singular local regression system: {exc}") from exc
-    # the systems are symmetric, so e0' A^-1 X'W = (A^-1 e0)' X'W
-    return sum(g[:, a, None] * weighted_powers[a] for a in range(degree + 1))
+    w = _tricube(np.abs(t) / d_max[:, None])
+    total = np.add.reduce(w, axis=1)
+    mean = np.add.reduce(w * t, axis=1) / total
+    t -= mean[:, None]
+    spread = np.add.reduce(w * t * t, axis=1)
+    slope = np.divide(-mean, spread, out=np.zeros_like(mean), where=spread > 0.0)
+    return w * (1.0 / total[:, None] + t * slope[:, None])
 
 
 @functools.lru_cache(maxsize=8)
-def _window_operator(q: int, span: int, degree: int) -> np.ndarray:
+def _window_operator(q: int, span: int) -> np.ndarray:
     """Read-only hat-matrix rows of all q windows that cover y[:q].
 
     The rows do not depend on the data or on the series length, so they are
-    built once per (q, span, degree) and reused. With q < n, span == q and
-    the first and last (q - 1) // 2 rows serve the boundary windows. With
-    q == n every row is used.
+    built once per (q, span) and reused. With q < n, span == q and the first
+    and last (q - 1) // 2 rows serve the boundary windows. With q == n every
+    row is used.
     """
-    op = _hat_rows(q, span, degree, np.arange(q))
+    op = _hat_rows(q, span, np.arange(q))
     op.flags.writeable = False
     return op
 
 
 @functools.lru_cache(maxsize=8)
-def _interior_spectrum(q: int, span: int, degree: int, size: int) -> np.ndarray:
+def _interior_spectrum(q: int, span: int, size: int) -> np.ndarray:
     """Read-only rfft, at length ``size``, of the reversed interior kernel:
     the hat-matrix row of the centre of a window of q points."""
-    kernel = _hat_rows(q, span, degree, np.array([(q - 1) // 2]))[0]
+    kernel = _hat_rows(q, span, np.array([(q - 1) // 2]))[0]
     spectrum = np.fft.rfft(kernel[::-1], size)
     spectrum.flags.writeable = False
     return spectrum
 
 
-def loess_smooth(y, span: int, degree: int = 1) -> np.ndarray:
-    """Locally weighted polynomial smoothing on a regular grid.
+def loess_smooth(y, span: int) -> np.ndarray:
+    """Locally weighted linear smoothing on a regular grid.
 
     Parameters
     ----------
     y : array-like
         Equally spaced observations.
-    span : odd positive int
+    span : odd int >= 3
         Number of nearest neighbours per window. Spans larger than the series
         use every point, with the tricube scale stretched by span/n.
-    degree : {0, 1, 2}
-        Local polynomial degree.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.size
-    if span < 1 or span % 2 == 0:
-        raise ValueError(f"span must be an odd positive integer, got {span}")
-    if degree not in (0, 1, 2):
-        raise ValueError(f"degree must be 0, 1 or 2, got {degree}")
-    if span < degree + 1:
-        raise ValueError(f"span {span} too small for degree {degree}")
-    if n == 0:
+    if span < 3 or span % 2 == 0:
+        raise ValueError(f"span must be an odd integer >= 3, got {span}")
+    if n < 2:
         return y.copy()
     q = min(span, n)
-    if q == 1:
-        return y.copy()
     half = (q - 1) // 2
-    op = _window_operator(q, span, degree) if q * q <= _BATCH_ELEMENTS else None
+    op = _window_operator(q, span) if q * q <= _BATCH_ELEMENTS else None
 
     def fit(lo, hi, window):
         """The fits at centres lo..hi-1 of ``window`` (y[:q] or y[-q:]); a
@@ -189,8 +152,8 @@ def loess_smooth(y, span: int, degree: int = 1) -> np.ndarray:
         if op is not None:
             return op[lo:hi] @ window
         step = _BATCH_ELEMENTS // q
-        return np.concatenate([_hat_rows(q, span, degree, np.arange(c, min(c + step, hi)))
-                               @ window for c in range(lo, hi, step)])
+        return np.concatenate([_hat_rows(q, span, np.arange(c, min(c + step, hi))) @ window
+                               for c in range(lo, hi, step)])
 
     if q == n:
         return fit(0, n, y)
@@ -200,7 +163,7 @@ def loess_smooth(y, span: int, degree: int = 1) -> np.ndarray:
     # reversed kernel; a circular convolution of length >= n wraps only into
     # its first q - 1 terms
     size = 1 << (n - 1).bit_length()
-    product = np.fft.rfft(y, size) * _interior_spectrum(q, span, degree, size)
+    product = np.fft.rfft(y, size) * _interior_spectrum(q, span, size)
     out[half : n - half] = np.fft.irfft(product, size)[q - 1 : n]
     out[n - half :] = fit(q - half, q, y[n - q :])
     return out
@@ -222,7 +185,7 @@ def _cycle_subseries(detrended, period, seasonal_span):
         extended[:] = means[np.arange(n + 2 * period) % period]
     else:
         for s in range(period):
-            smooth = loess_smooth(detrended[s::period], seasonal_span, degree=1)
+            smooth = loess_smooth(detrended[s::period], seasonal_span)
             extended[s::period] = np.concatenate([[smooth[0]], smooth, [smooth[-1]]])
     return extended
 
@@ -251,9 +214,9 @@ def stl_decompose(
     for _ in range(_INNER_PASSES):
         cycles = _cycle_subseries(x - trend, period, seasonal_span)
         lowpass = _moving_mean(_moving_mean(_moving_mean(cycles, period), period), 3)
-        lowpass = loess_smooth(lowpass, l_span, degree=1)
+        lowpass = loess_smooth(lowpass, l_span)
         seasonal = cycles[period : period + n] - lowpass
-        trend = loess_smooth(x - seasonal, t_span, degree=1)
+        trend = loess_smooth(x - seasonal, t_span)
     return Decomposition(trend=trend, seasonal=seasonal,
                          remainder=x - seasonal - trend, period=period)
 
@@ -305,9 +268,10 @@ def _shape_positions(seasonal, period):
     return int(np.argmax(shape)) + 1, int(np.argmin(shape)) + 1
 
 
-def stl_feature_set(z: StandardizedSeries, **stl_options) -> StlFeatureSet:
-    """The nine decomposition-derived features of one standardized series;
-    ``stl_options`` are the span keywords of :func:`stl_decompose`."""
+def stl_feature_set(z: StandardizedSeries, **stl_options) -> dict[str, float]:
+    """The nine decomposition-derived features of one standardized series,
+    keyed by their names in ``FEATURE_NAMES``; ``stl_options`` are the span
+    keywords of :func:`stl_decompose`."""
     dec = stl_decompose(z, **stl_options)
     trend, seasonal, remainder = dec.trend, dec.seasonal, dec.remainder
     n = remainder.size
@@ -328,14 +292,14 @@ def stl_feature_set(z: StandardizedSeries, **stl_options) -> StlFeatureSet:
     rem_acf = acf(remainder, 10)
     peak, trough = _shape_positions(seasonal, dec.period)
 
-    return StlFeatureSet(
-        trend_strength=float(trend_strength),
-        seasonal_strength=float(seasonal_strength),
-        spike=spike,
-        linearity=linearity,
-        curvature=curvature,
-        e_acf1=float(rem_acf[0]),
-        e_acf10=float(rem_acf @ rem_acf),
-        peak=peak,
-        trough=trough,
-    )
+    return {
+        "trend": float(trend_strength),
+        "spike": spike,
+        "linearity": linearity,
+        "curvature": curvature,
+        "e_acf1": float(rem_acf[0]),
+        "e_acf10": float(rem_acf @ rem_acf),
+        "seasonal_strength": float(seasonal_strength),
+        "peak": float(peak),
+        "trough": float(trough),
+    }

@@ -20,13 +20,6 @@ from . import native
 from .errors import LagTooLarge, NumericalSingularity, TooShort, ZeroVariance
 from .series import StandardizedSeries, difference, pairwise_dot
 
-ACF_FEATURES = (
-    "x_acf1", "x_acf10", "diff1_acf1", "diff1_acf10", "diff2_acf1",
-    "diff2_acf10", "seas_acf1", "firstzero_ac",
-)
-PACF_FEATURES = ("x_pacf5", "diff1x_pacf5", "diff2x_pacf5", "seas_pacf")
-
-
 #: lags added at a time while the ACF is searched for its first zero crossing
 _ACF_BLOCK = 32
 

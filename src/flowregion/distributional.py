@@ -7,11 +7,6 @@ import numpy as np
 from .errors import DegenerateRange, SingularDesign, TooShort
 from .series import StandardizedSeries, difference, pairwise_dot
 
-DISTRIBUTIONAL_FEATURES = (
-    "std1st_der", "crossing_points", "flat_spots", "lumpiness", "stability",
-    "nonlinearity",
-)
-
 #: A linear-fit residual sum of squares below this share of y'y is rounding
 #: (1e-32 to 1e-28 for exact recursions), not a fit to explain.
 _EXACT_FIT = 1e-20

@@ -57,7 +57,7 @@ class FeatureConfig:
     lowpass_span: int | None = None  # None -> next odd >= period
 
     def __post_init__(self):
-        # a degree-1 Loess fit needs a span of at least 3; trend and low-pass
+        # a Loess span is an odd integer >= 3; trend and low-pass
         # spans are rounded up to the next odd integer
         if self.seasonal_span != decomposition.PERIODIC and not (
                 _is_int(self.seasonal_span) and self.seasonal_span >= 3
@@ -146,7 +146,7 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     out["nonlinearity"] = _step("nonlinearity", lambda: distributional.nonlinearity(z))
     out.update(_step("decomposition features", lambda: decomposition.stl_feature_set(
         z, seasonal_span=cfg.seasonal_span, trend_span=cfg.trend_span,
-        lowpass_span=cfg.lowpass_span).as_dict()))
+        lowpass_span=cfg.lowpass_span)))
     return _step("feature vector", lambda: FeatureVector.from_dict(out))
 
 

@@ -41,10 +41,6 @@ class SingularDesign(FlowRegionError):
     """Rank-deficient regression design matrix."""
 
 
-class SingularFit(FlowRegionError):
-    """All weights vanished inside a local regression window."""
-
-
 class DegenerateVariance(FlowRegionError):
     """A variance ratio in the decomposition features is undefined."""
 

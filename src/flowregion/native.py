@@ -10,8 +10,12 @@ The cached file is named by the sha256 of every source, the compiler
 command, the flags and the compiler's ``--version`` output, so an edited
 source or another compiler is never served a stale build. A build writes a
 temporary file and renames it into place, so processes that build at once
-each load a complete library. :func:`kernel` loads the library once per
-process, on first use; nothing is built at import.
+each load a complete library, and then deletes every other library in the
+cache, so superseded builds do not pile up. One race remains: when two
+different sources are built from one checkout at once, each may delete the
+other's library before that process has loaded it, and that load fails.
+:func:`kernel` loads the library once per process, on first use; nothing is
+built at import.
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ def build(sources: tuple[Path, ...] = SOURCES, cache: Path = CACHE) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in cache.glob("*.so"):
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return target
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import ANALYSIS_VARIABLES, STATIC_ATTRIBUTES, CatchmentRecord
+from .dataio import STATIC_ATTRIBUTES, CatchmentRecord
 from .engine import FEATURE_NAMES, parallel_map
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
 from .forest import (
@@ -27,6 +27,7 @@ from .forest import (
     permutation_importance,
 )
 from .seeding import child_seed, child_seeds, substream
+from .series import VARIABLE_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -377,7 +378,7 @@ def feature_summary(records: list[CatchmentRecord]) -> list[SummaryRow]:
     if not records:
         raise LengthMismatch("need at least one record")
     rows = []
-    for variable in ANALYSIS_VARIABLES:
+    for variable in VARIABLE_KINDS:
         matrix = np.array(
             [[r.features(variable)[f] for f in FEATURE_NAMES] for r in records]
         )

@@ -16,7 +16,7 @@ from flowregion.dataio import (
 )
 from flowregion.engine import extract_features
 from flowregion.errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
-from flowregion.series import TimeSeries
+from flowregion.series import VARIABLE_KINDS, TimeSeries
 
 from conftest import sine
 
@@ -501,7 +501,7 @@ class TestIngestFailures:
         assert len(one) == len(two)
         for a, b in zip(one, two):
             assert (a.catchment_id, a.static) == (b.catchment_id, b.static)
-            for variable in dataio.ANALYSIS_VARIABLES:
+            for variable in VARIABLE_KINDS:
                 assert (a.features(variable).values.tobytes()
                         == b.features(variable).values.tobytes())
 

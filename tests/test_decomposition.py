@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flowregion import decomposition
 from flowregion.decomposition import (
     Decomposition,
     _hat_rows,
@@ -12,8 +18,8 @@ from flowregion.decomposition import (
     stl_decompose,
     stl_feature_set,
 )
-from flowregion.engine import extract_features
-from flowregion.errors import SingularFit, TooShort
+from flowregion.engine import FEATURE_NAMES, FeatureConfig, extract_features
+from flowregion.errors import TooShort
 from flowregion.series import StandardizedSeries, zscore
 
 from conftest import ar1, daily_series, sine, standardized, white_noise
@@ -23,71 +29,63 @@ class TestLoess:
     def test_linear_input_reproduced_exactly(self):
         y = 0.7 * np.arange(200.0) - 3.0
         for span in (7, 31, 121):
-            np.testing.assert_allclose(loess_smooth(y, span, degree=1), y, atol=1e-8)
-
-    def test_constant_input_degree_zero(self):
-        y = np.full(50, 4.2)
-        np.testing.assert_allclose(loess_smooth(y, 11, degree=0), y, atol=1e-12)
-
-    def test_quadratic_reproduced_by_degree_two(self):
-        t = np.arange(300.0)
-        y = 0.002 * t * t - 0.3 * t + 5.0
-        smoothed = loess_smooth(y, 11, degree=2)
-        np.testing.assert_allclose(smoothed, y, atol=1e-6)
+            np.testing.assert_allclose(loess_smooth(y, span), y, atol=1e-8)
 
     def test_span_larger_than_series(self):
         y = 2.0 * np.arange(40.0) + 1.0
-        np.testing.assert_allclose(loess_smooth(y, 101, degree=1), y, atol=1e-8)
+        np.testing.assert_allclose(loess_smooth(y, 101), y, atol=1e-8)
 
     def test_smooths_noise(self, rng):
         y = rng.normal(size=500)
-        smoothed = loess_smooth(y, 101, degree=1)
+        smoothed = loess_smooth(y, 101)
         assert smoothed.std() < 0.5 * y.std()
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            loess_smooth(np.arange(10.0), 4)  # even span
-        with pytest.raises(ValueError):
-            loess_smooth(np.arange(10.0), 3, degree=3)
-        with pytest.raises(ValueError):
-            loess_smooth(np.arange(10.0), 1, degree=1)  # span < degree + 1
+    @pytest.mark.parametrize("n", [2, 3, 4, 40])
+    def test_span_three_returns_the_series(self, rng, n):
+        # inside a 3-point window only the centre carries weight, so the fit is
+        # the local mean, the centre itself; at the ends the window's line
+        # passes through the two weighted points, one of them the centre
+        y = rng.normal(size=n)
+        np.testing.assert_allclose(loess_smooth(y, 3), y, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_returned_as_they_are(self, n):
+        y = np.arange(float(n))
+        got = loess_smooth(y, 7)
+        assert got is not y and np.array_equal(got, y)
+
+    @pytest.mark.parametrize("span", [4, 1, -1])
+    def test_span_must_be_odd_and_at_least_three(self, span):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            loess_smooth(np.arange(10.0), span)
 
 
-def _solve_windows(y, lo, centers, q, d_max, degree):
-    """Weighted local-polynomial fits for one batch of windows.
+def _solve_windows(y, lo, centers, q, d_max):
+    """Weighted local-line fits for one batch of windows.
 
     Returns the fitted value at each center. Windows are index ranges
     [lo, lo + q) on the regular grid; d_max is the tricube scale per window.
+    Where only the center carries weight the line is undefined, and the fit
+    is the local mean.
     """
     idx = lo[:, None] + np.arange(q)[None, :]
-    t = idx - centers[:, None]
-    w = _tricube(np.abs(t) / np.where(d_max > 0, d_max, 1.0)[:, None])
-    wsum = w.sum(axis=1)
-    if np.any(wsum <= 0.0):
-        raise SingularFit("all weights vanished inside a local regression window")
+    t = (idx - centers[:, None]).astype(np.float64)
+    w = _tricube(np.abs(t) / d_max[:, None])
     yw = y[idx]
-    if degree == 0:
-        return (w * yw).sum(axis=1) / wsum
-    tf = t.astype(np.float64)
-    powers = [np.ones_like(tf)]
-    for _ in range(2 * degree):
-        powers.append(powers[-1] * tf)
-    moments = [(w * p).sum(axis=1) for p in powers]
-    rhs = np.stack(
-        [(w * powers[a] * yw).sum(axis=1) for a in range(degree + 1)], axis=1
-    )
-    a_mat = np.empty((lo.size, degree + 1, degree + 1))
-    for a in range(degree + 1):
-        for b in range(degree + 1):
+    fits = (w * yw).sum(axis=1) / w.sum(axis=1)
+    line = np.count_nonzero(w, axis=1) > 1
+    w, t, yw = w[line], t[line], yw[line]
+    moments = [(w * t**a).sum(axis=1) for a in range(3)]
+    a_mat = np.empty((w.shape[0], 2, 2))
+    for a in range(2):
+        for b in range(2):
             a_mat[:, a, b] = moments[a + b]
-    try:
-        coefs = np.linalg.solve(a_mat, rhs[:, :, None])
-    except np.linalg.LinAlgError as exc:
-        raise SingularFit(f"singular local regression system: {exc}") from exc
-    return coefs[:, 0, 0]
+    rhs = np.stack([(w * yw).sum(axis=1), (w * t * yw).sum(axis=1)], axis=1)
+    fits[line] = np.linalg.solve(a_mat, rhs[:, :, None])[:, 0, 0]
+    return fits
 
 
-def direct_loess(y, span, degree):
+def direct_loess(y, span):
     """Reference Loess: every window solved as its own least-squares system."""
     n = y.size
     q = min(span, n)
@@ -98,7 +96,7 @@ def direct_loess(y, span, degree):
     chunk = max(1, 2_000_000 // q)
     return np.concatenate([
         _solve_windows(y, lo[s : s + chunk], centers[s : s + chunk], q,
-                       d_max[s : s + chunk], degree)
+                       d_max[s : s + chunk])
         for s in range(0, n, chunk)
     ])
 
@@ -109,30 +107,24 @@ class TestLoessOperator:
     @pytest.mark.parametrize("n, span", [
         (n, span) for n in (40, 3650, 12410) for span in (3, 11, 365, 731, 1415, 2001)
     ] + [(3000, 20001), (3650, 3651)])
-    @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_matches_direct_window_solves(self, n, span, degree):
-        rng = np.random.default_rng(n + span + degree)
+    def test_matches_direct_window_solves(self, n, span):
+        rng = np.random.default_rng(n + span + 1)
         y = 10.0 + np.cumsum(rng.normal(size=n)) * 0.1
-        try:
-            want = direct_loess(y, span, degree)
-        except SingularFit:
-            with pytest.raises(SingularFit):
-                loess_smooth(y, span, degree=degree)
-            return
-        got = loess_smooth(y, span, degree=degree)
+        want = direct_loess(y, span)
+        got = loess_smooth(y, span)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
 
     # spans of a cached kernel (367, 731) and of one rebuilt per call (1,415);
     # lengths from one interior fit past the window to 34 years, and an odd one
-    @pytest.mark.parametrize("span, degree", [(367, 2), (731, 1), (1415, 1)])
+    @pytest.mark.parametrize("span", [367, 731, 1415])
     @pytest.mark.parametrize("length", ["span+1", 3650, 4999, 12410])
-    def test_interior_matches_direct_convolution(self, span, degree, length):
+    def test_interior_matches_direct_convolution(self, span, length):
         n = span + 1 if length == "span+1" else length
         y = zscore(sine(n, noise_sd=0.5, seed=n) + ar1(n, 0.9, seed=span))
         half = (span - 1) // 2
-        kernel = _hat_rows(span, span, degree, np.array([half]))[0]
+        kernel = _hat_rows(span, span, np.array([half]))[0]
         want = np.convolve(y, kernel[::-1], mode="valid")
-        got = loess_smooth(y, span, degree=degree)[half : n - half]
+        got = loess_smooth(y, span)[half : n - half]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_operator_is_cached_and_read_only(self):
@@ -142,10 +134,72 @@ class TestLoessOperator:
         loess_smooth(y[:300], 101)
         after = _window_operator.cache_info()
         assert after.hits == before.hits + 1 and after.misses == before.misses
-        op = _window_operator(101, 101, 1)
+        op = _window_operator(101, 101)
         assert not op.flags.writeable
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("q", [7, 365, 731])
+    def test_rows_match_a_long_double_solve(self, q):
+        # the 2 x 2 normal equations of every window, solved by Cramer's rule
+        # in long double: e0' A^-1 [1, t]' W
+        c = np.arange(q, dtype=np.longdouble)
+        t = c[None, :] - c[:, None]
+        w = (1 - np.minimum(np.abs(t) / np.maximum(c, q - 1 - c)[:, None], 1) ** 3) ** 3
+        s0, s1, s2 = ((w * t**a).sum(axis=1)[:, None] for a in range(3))
+        want = w * (s2 - s1 * t) / (s0 * s2 - s1 * s1)
+        got = _hat_rows(q, q, np.arange(q))
+        error = np.abs(got - want).max()
+        assert error <= 4 * np.finfo(np.float64).eps * np.abs(want).max()
+
+
+def _openblas_can_switch_to_haswell() -> bool:
+    """Whether OPENBLAS_CORETYPE can pick the AVX2 and SSE3 kernel sets:
+    numpy's BLAS is a DYNAMIC_ARCH OpenBLAS and the CPU has AVX2."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return False
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return " avx2" in fh.read()
+    except OSError:
+        return False
+
+
+_OPERATOR_DIGESTS = """
+import hashlib
+from flowregion.decomposition import _window_operator
+for q in (7, 365, 731):
+    print(q, hashlib.sha256(_window_operator(q, q).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _openblas_can_switch_to_haswell(),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
+def test_operator_bytes_do_not_depend_on_the_blas_kernels():
+    digests = []
+    for coretype in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = str(Path(decomposition.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", _OPERATOR_DIGESTS], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout)
+    assert digests[0].count("\n") == 3
+    assert digests[1] == digests[0] and digests[2] == digests[0]
+
+
+@pytest.mark.parametrize("spans", [
+    {"seasonal_span": 3}, {"trend_span": 2}, {"trend_span": 3}, {"lowpass_span": 3},
+])
+def test_shortest_accepted_spans_give_features(spans):
+    fv = extract_features(daily_series(sine(1460, noise_sd=0.3, seed=10)),
+                          FeatureConfig(**spans))
+    assert np.isfinite(fv.values).all()
 
 
 #: The 28 features of each conftest series shape, pinned from the per-window
@@ -212,56 +266,60 @@ class TestStlDecompose:
 
 
 class TestStlFeatureSet:
+    def test_keyed_by_feature_names(self):
+        feats = stl_feature_set(standardized(sine(1460, noise_sd=0.3, seed=4), period=365))
+        assert list(feats) == [n for n in FEATURE_NAMES if n in feats] and len(feats) == 9
+
     def test_seasonal_dominates(self):
         z = standardized(sine(3650, noise_sd=0.1, seed=5), period=365)
         feats = stl_feature_set(z)
-        assert feats.seasonal_strength >= 0.95
-        assert feats.trend_strength <= 0.2
+        assert feats["seasonal_strength"] >= 0.95
+        assert feats["trend"] <= 0.2
 
     def test_trend_dominates(self, rng):
         x = 3.0 * np.arange(3650.0) / 3650.0 + 0.1 * rng.normal(size=3650)
         feats = stl_feature_set(standardized(x, period=365))
-        assert feats.trend_strength >= 0.95
-        assert feats.seasonal_strength <= 0.2
-        assert feats.linearity > 0
+        assert feats["trend"] >= 0.95
+        assert feats["seasonal_strength"] <= 0.2
+        assert feats["linearity"] > 0
 
     def test_strength_swap_between_constructions(self, rng):
         seasonal_feats = stl_feature_set(
             standardized(sine(2920, noise_sd=0.1, seed=6), period=365))
         trend_feats = stl_feature_set(
             standardized(np.arange(2920.0) + 30 * rng.normal(size=2920), period=365))
-        assert seasonal_feats.seasonal_strength > trend_feats.seasonal_strength
-        assert trend_feats.trend_strength > seasonal_feats.trend_strength
+        assert seasonal_feats["seasonal_strength"] > trend_feats["seasonal_strength"]
+        assert trend_feats["trend"] > seasonal_feats["trend"]
 
     def test_sine_peak_trough_positions(self):
         z = standardized(sine(3650, noise_sd=0.01, seed=7), period=365)
         feats = stl_feature_set(z)
-        assert feats.peak in (91, 92, 93)
-        assert feats.trough in (273, 274, 275)
+        assert feats["peak"] in (91, 92, 93)
+        assert feats["trough"] in (273, 274, 275)
 
     def test_descending_linearity_negative(self, rng):
         x = -np.arange(3650.0) + 20 * rng.normal(size=3650)
         feats = stl_feature_set(standardized(x, period=365))
-        assert feats.linearity < 0
+        assert feats["linearity"] < 0
 
     def test_white_noise_remainder_acf(self):
         z = standardized(white_noise(3650, seed=8), period=365)
         feats = stl_feature_set(z)
-        assert abs(feats.e_acf1) <= 0.05
+        assert abs(feats["e_acf1"]) <= 0.05
 
     def test_strengths_clamped(self, rng):
         for seed in range(5):
             z = standardized(white_noise(900, seed=seed), period=365)
             feats = stl_feature_set(z)
-            assert 0.0 <= feats.trend_strength <= 1.0
-            assert 0.0 <= feats.seasonal_strength <= 1.0
-            assert feats.spike >= 0.0
+            assert 0.0 <= feats["trend"] <= 1.0
+            assert 0.0 <= feats["seasonal_strength"] <= 1.0
+            assert feats["spike"] >= 0.0
 
     def test_peak_trough_shift_invariant(self):
         x = sine(2920, noise_sd=0.05, seed=9)
         a = stl_feature_set(standardized(x, period=365))
         b = stl_feature_set(standardized(x + 100.0, period=365))
-        assert (a.peak, a.trough) == (b.peak, b.trough)
+        assert (a["peak"], a["trough"]) == (b["peak"], b["trough"])
 
 
 class TestHelpers:

@@ -34,9 +34,10 @@ def test_edited_source_never_served_the_old_build(tmp_path, edited):
     assert native.build(sources, cache) == first
     source = sources[0].with_name(edited)
     source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+    (cache / "_tree-0123456789abcdef.so").write_bytes(b"an older layout's build")
     second = native.build(sources, cache)
     assert second != first and second.is_file()
-    assert sorted(cache.iterdir()) == sorted([first, second])
+    assert list(cache.iterdir()) == [second]  # superseded builds are deleted
     assert native.load(sources, cache).descend_forest is not None
 
 
