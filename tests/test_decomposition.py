@@ -101,18 +101,52 @@ def direct_loess(y, span):
     ])
 
 
+#: Series lengths and spans that reach every path of loess_smooth: whole-series
+#: windows (q == n), cached operators with an FFT interior, and spans 1,415 and
+#: 2,001 (and 20,001 >= n = 3,000), too wide to cache, whose hat-matrix rows
+#: are built block by block on every call.
+LENGTHS_AND_SPANS = [
+    (n, span) for n in (40, 3650, 12410) for span in (3, 11, 365, 731, 1415, 2001)
+] + [(3000, 20001), (3650, 3651)]
+
+
 class TestLoessOperator:
-    # spans 1,415 and 2,001 (and 20,001 >= n = 3,000) are too wide to cache:
-    # their hat-matrix rows are built block by block on every call
-    @pytest.mark.parametrize("n, span", [
-        (n, span) for n in (40, 3650, 12410) for span in (3, 11, 365, 731, 1415, 2001)
-    ] + [(3000, 20001), (3650, 3651)])
+    @pytest.mark.parametrize("n, span", LENGTHS_AND_SPANS)
     def test_matches_direct_window_solves(self, n, span):
         rng = np.random.default_rng(n + span + 1)
         y = 10.0 + np.cumsum(rng.normal(size=n)) * 0.1
         want = direct_loess(y, span)
         got = loess_smooth(y, span)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("n, span", LENGTHS_AND_SPANS)
+    def test_lines_reproduced_on_every_path(self, n, span):
+        # every fit is a local line, so a line comes back unchanged at the
+        # boundaries, in the interior and in the blocked rows alike
+        y = 5.0 - 0.003 * np.arange(n)
+        got = loess_smooth(y, span)
+        assert np.max(np.abs(got - y)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("n, span", LENGTHS_AND_SPANS)
+    def test_reversal_commutes_with_smoothing(self, n, span):
+        # the tricube weights are symmetric, so the right-hand boundary fits
+        # mirror the left-hand ones
+        y = np.random.default_rng(n * span).normal(size=n)
+        got = loess_smooth(y[::-1], span)[::-1]
+        want = loess_smooth(y, span)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("q, span", [
+        (2, 3), (3, 3), (4, 5), (7, 7), (11, 11), (40, 365), (365, 365), (731, 731),
+        (40, 20001),
+    ])
+    def test_rows_have_unit_sum_and_reproduce_their_centre(self, q, span):
+        # a local line reproduces constants (rows sum to 1) and the abscissa
+        # itself (each row's first moment about its centre is 0)
+        rows = _hat_rows(q, span, np.arange(q))
+        t = np.arange(q)[None, :] - np.arange(q)[:, None]
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose((rows * t).sum(axis=1), 0.0, rtol=0.0, atol=1e-13 * q)
 
     # spans of a cached kernel (367, 731) and of one rebuilt per call (1,415);
     # lengths from one interior fit past the window to 34 years, and an odd one
