@@ -46,7 +46,7 @@ from .regional import (
     rmse,
     spearman,
 )
-from .series import StandardizedSeries, TimeSeries, difference, standardize, validate
+from .series import TimeSeries, difference, standardize, validate
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "ImportanceReport",
     "IngestConfig",
     "STATIC_ATTRIBUTES",
-    "StandardizedSeries",
     "TimeSeries",
     "correlation_matrix",
     "cross_validate",

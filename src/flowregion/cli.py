@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 input error, 3 extraction error, 4 config error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .dataio import SERIES_VARIABLES, IngestConfig, assemble_rows, read_attributes
+from .dataio import SERIES_VARIABLES, VARIABLE_KINDS, IngestConfig, assemble_rows, read_attributes
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
 from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table
@@ -53,7 +54,6 @@ from .regional import (
     write_summaries,
 )
 from .seeding import child_seed
-from .series import VARIABLE_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -262,9 +262,10 @@ def _extract_records(cfg: RunConfig):
     write_feature_table(cfg.output_dir / "features.csv", rows)
     with open(cfg.output_dir / "exclusions.csv", "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("catchment_id,variable,reason\n")
-        for exc in exclusions:
-            fh.write(f"{exc.catchment_id},{exc.variable},{exc.reason}\n")
+        # a reason may hold commas and quotes: a ParseError quotes the bad line
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("catchment_id", "variable", "reason"))
+        writer.writerows((exc.catchment_id, exc.variable, exc.reason) for exc in exclusions)
     stamp.write_text(fingerprint, encoding="utf-8")
     return records
 

@@ -39,7 +39,7 @@ from .engine import (
     parallel_map,
 )
 from .errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
-from .series import VARIABLE_KINDS, TimeSeries
+from .series import TimeSeries
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,9 @@ LOG_ATTRIBUTES = ("log_elev_mean", "log_slope_mean", "log_area_gages2")
 
 #: Per-catchment input series; temperature is derived as (tmin + tmax) / 2.
 SERIES_VARIABLES = ("tmin", "tmax", "precipitation", "streamflow")
+
+#: The three series each catchment's features are extracted from.
+VARIABLE_KINDS = ("temperature", "precipitation", "streamflow")
 
 
 @dataclass
@@ -290,11 +293,9 @@ def _load_catchment(shared, cid: str):
         "precipitation": per_variable["precipitation"],
         "streamflow": per_variable["streamflow"],
     }
-    start = config.start + datetime.timedelta(days=int(offsets[0]))
     return None, [
-        _extract_task(config.feature_config, (cid, kind, TimeSeries(
-            values[kind], start_date=start, period=config.period, variable_kind=kind,
-        )))
+        _extract_task(config.feature_config,
+                      (cid, kind, TimeSeries(values[kind], period=config.period)))
         for kind in sorted(values)
     ]
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dependence import acf
 from .errors import DegenerateVariance, TooShort
-from .series import StandardizedSeries, pairwise_dot
+from .series import pairwise_dot
 
 PERIODIC = "periodic"
 
@@ -64,7 +64,6 @@ class Decomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     remainder: np.ndarray
-    period: int
 
 
 def _next_odd(v: int) -> int:
@@ -191,7 +190,8 @@ def _cycle_subseries(detrended, period, seasonal_span):
 
 
 def stl_decompose(
-    z: StandardizedSeries,
+    x: np.ndarray,
+    period: int,
     seasonal_span: int | str = PERIODIC,
     trend_span: int | None = None,
     lowpass_span: int | None = None,
@@ -202,8 +202,6 @@ def stl_decompose(
     replaced by its mean. The default trend span is 2 * period + 1 and the
     low-pass span the next odd integer >= period.
     """
-    x = z.values
-    period = z.period
     n = x.size
     if n < 2 * period:
         raise TooShort(f"decomposition needs length >= {2 * period}, got {n}")
@@ -217,8 +215,7 @@ def stl_decompose(
         lowpass = loess_smooth(lowpass, l_span)
         seasonal = cycles[period : period + n] - lowpass
         trend = loess_smooth(x - seasonal, t_span)
-    return Decomposition(trend=trend, seasonal=seasonal,
-                         remainder=x - seasonal - trend, period=period)
+    return Decomposition(trend=trend, seasonal=seasonal, remainder=x - seasonal - trend)
 
 
 def _leave_one_out_variances(values: np.ndarray) -> np.ndarray:
@@ -268,11 +265,11 @@ def _shape_positions(seasonal, period):
     return int(np.argmax(shape)) + 1, int(np.argmin(shape)) + 1
 
 
-def stl_feature_set(z: StandardizedSeries, **stl_options) -> dict[str, float]:
+def stl_feature_set(x: np.ndarray, period: int, **stl_options) -> dict[str, float]:
     """The nine decomposition-derived features of one standardized series,
     keyed by their names in ``FEATURE_NAMES``; ``stl_options`` are the span
     keywords of :func:`stl_decompose`."""
-    dec = stl_decompose(z, **stl_options)
+    dec = stl_decompose(x, period, **stl_options)
     trend, seasonal, remainder = dec.trend, dec.seasonal, dec.remainder
     n = remainder.size
 
@@ -290,7 +287,7 @@ def stl_feature_set(z: StandardizedSeries, **stl_options) -> dict[str, float]:
     curvature = pairwise_dot(q2, trend)
 
     rem_acf = acf(remainder, 10)
-    peak, trough = _shape_positions(seasonal, dec.period)
+    peak, trough = _shape_positions(seasonal, period)
 
     return {
         "trend": float(trend_strength),

@@ -2,7 +2,10 @@
 
 Thirteen of the twenty-eight features live here: the ACF family on the raw
 and differenced series, the PACF family, the seasonal lag-365 statistics and
-the spectral entropy of the periodogram.
+the spectral entropy of the periodogram. :func:`acf_feature_set` takes the
+standardized series as a float64 array ``x`` and its seasonal ``period``,
+:func:`pacf_feature_set` the ACFs it returns and the period, and
+:func:`spectral_entropy` takes ``x`` alone.
 
 The lag sums of the ACF and the Durbin-Levinson recursion of the PACF run in
 the compiled kernel ``_acf.c``, loaded by :func:`flowregion.native.kernel`
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import native
 from .errors import LagTooLarge, NumericalSingularity, TooShort, ZeroVariance
-from .series import StandardizedSeries, difference, pairwise_dot
+from .series import difference, pairwise_dot
 
 #: lags added at a time while the ACF is searched for its first zero crossing
 _ACF_BLOCK = 32
@@ -86,23 +89,21 @@ def pacf(x, max_lag: int) -> np.ndarray:
     return pacf_from_acf(acf(x, max_lag))
 
 
-def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
-    """The eight autocorrelation features of one standardized series.
+def acf_feature_set(x: np.ndarray, period: int) -> tuple[dict[str, float], tuple]:
+    """The eight autocorrelation features of one standardized series, and
+    its ACFs for :func:`pacf_feature_set`.
 
     ``firstzero_ac`` scans to min(n-1, 2 * period) and returns that
     bound when the ACF never crosses zero, which keeps the feature total.
-    With ``return_acf`` the result is ``(features, acfs)`` for
-    :func:`pacf_feature_set`: ``acfs`` holds the ACF of the series at lags
-    1..m for some m >= max(period, 10), and those of its first and second
-    differences at lags 1..10.
+    The result is ``(features, acfs)``: ``acfs`` holds the ACF of ``x`` at
+    lags 1..m for some m >= max(period, 10), and those of its first and
+    second differences at lags 1..10.
     """
-    x = z.values
-    p = z.period
     n = x.size
-    if n < 2 * p + 2:
-        raise TooShort(f"need length >= {2 * p + 2} for the ACF feature set, got {n}")
-    cap = min(n - 1, _FIRSTZERO_SCAN_FACTOR * p)
-    r, xc, denom = _autocorrelations(x, max(p, 10))
+    if n < 2 * period + 2:
+        raise TooShort(f"need length >= {2 * period + 2} for the ACF feature set, got {n}")
+    cap = min(n - 1, _FIRSTZERO_SCAN_FACTOR * period)
+    r, xc, denom = _autocorrelations(x, max(period, 10))
     if r.size < cap and not (r <= 0.0).any():
         # lags past the first non-positive one are never read: extend block
         # by block towards the cap only until one appears
@@ -125,34 +126,30 @@ def acf_feature_set(z: StandardizedSeries, *, return_acf: bool = False):
         "diff1_acf10": float(r1 @ r1),
         "diff2_acf1": float(r2[0]),
         "diff2_acf10": float(r2 @ r2),
-        "seas_acf1": float(r[p - 1]),
+        "seas_acf1": float(r[period - 1]),
         "firstzero_ac": float(firstzero),
     }
-    return (features, (r, r1, r2)) if return_acf else features
+    return features, (r, r1, r2)
 
 
-def pacf_feature_set(z: StandardizedSeries, acfs=None) -> dict[str, float]:
+def pacf_feature_set(acfs, period: int) -> dict[str, float]:
     """The four partial-autocorrelation features of one standardized series.
 
-    ``acfs`` holds the ACFs of ``z`` (at lags 1..m for some m >= period) and
-    of its first and second differences (at lags 1..m' for some m' >= 5), as
-    :func:`acf_feature_set` returns them; they are computed when not given.
-    Each r_k is the same fixed-order sum at any maximum lag, so the result
-    does not depend on m or m'.
+    ``acfs`` holds the ACFs of the series (at lags 1..m for some
+    m >= period) and of its first and second differences (at lags 1..m' for
+    some m' >= 5), as :func:`acf_feature_set` returns them. Each r_k is the
+    same fixed-order sum at any maximum lag, so the result does not depend
+    on m or m'.
     """
-    x = z.values
-    p = z.period
-    if acfs is None:
-        acfs = acf(x, p), acf(difference(x, 1), 5), acf(difference(x, 2), 5)
     r, r1, r2 = acfs
-    phi = pacf_from_acf(r[:p])
+    phi = pacf_from_acf(r[:period])
     phi1 = pacf_from_acf(r1[:5])
     phi2 = pacf_from_acf(r2[:5])
     return {
         "x_pacf5": float(phi[:5] @ phi[:5]),
         "diff1x_pacf5": float(phi1 @ phi1),
         "diff2x_pacf5": float(phi2 @ phi2),
-        "seas_pacf": float(phi[p - 1]),
+        "seas_pacf": float(phi[period - 1]),
     }
 
 
@@ -172,7 +169,7 @@ def _modified_daniell(values: np.ndarray, span: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def spectral_entropy(z, smooth_spans: tuple[int, ...] = (3, 3)) -> float:
+def spectral_entropy(x: np.ndarray, smooth_spans: tuple[int, ...] = (3, 3)) -> float:
     """Normalized Shannon entropy of the estimated spectral density, in [0, 1].
 
     The periodogram is taken at the Fourier frequencies in (0, pi], smoothed
@@ -180,7 +177,6 @@ def spectral_entropy(z, smooth_spans: tuple[int, ...] = (3, 3)) -> float:
     tuple for the raw periodogram), normalized to sum to one, and the entropy
     is divided by log of the number of frequencies.
     """
-    x = z.values if isinstance(z, StandardizedSeries) else np.asarray(z, dtype=np.float64)
     n = x.size
     if n < 16:
         raise TooShort(f"spectral entropy needs length >= 16, got {n}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateRange, SingularDesign, TooShort
-from .series import StandardizedSeries, difference, pairwise_dot
+from .series import difference, pairwise_dot
 
 #: A linear-fit residual sum of squares below this share of y'y is rounding
 #: (1e-32 to 1e-28 for exact recursions), not a fit to explain.
@@ -16,35 +16,32 @@ _EXACT_FIT = 1e-20
 _DEPENDENT = 1e-10
 
 
-def std1st_der(z: StandardizedSeries) -> float:
+def std1st_der(x: np.ndarray) -> float:
     """Sample standard deviation of the first-order differenced series."""
-    x = z.values
     if x.size < 3:
         raise TooShort("std1st_der needs at least three points")
     return float(difference(x, 1).std(ddof=1))
 
 
-def crossing_points(z: StandardizedSeries) -> int:
+def crossing_points(x: np.ndarray) -> int:
     """Number of times the series crosses its median.
 
     Counts sign changes of the indicator x_t <= median between consecutive
     points, so the result depends only on the ordering of the values.
     """
-    x = z.values
     if x.size < 2:
         raise TooShort("crossing_points needs at least two points")
     below = x <= np.median(x)
     return int(np.count_nonzero(below[1:] != below[:-1]))
 
 
-def flat_spots(z: StandardizedSeries, bins: int = 10) -> int:
+def flat_spots(x: np.ndarray, bins: int = 10) -> int:
     """Longest run of values falling in the same decile-style bin.
 
     The range [min, max] is cut into ``bins`` equal-width intervals, the top
     interval closed at the maximum, and the maximum run length of identical
     bin labels is returned.
     """
-    x = z.values
     if x.size < 10:
         raise TooShort("flat_spots needs at least ten points")
     lo, hi = float(x.min()), float(x.max())
@@ -56,28 +53,26 @@ def flat_spots(z: StandardizedSeries, bins: int = 10) -> int:
     return int(np.diff(edges).max())
 
 
-def tiled_windows(z: StandardizedSeries) -> tuple[np.ndarray, np.ndarray]:
+def tiled_windows(x: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-tile means and sample variances over floor(n/period) non-overlapping
     tiles of one seasonal period each; the trailing remainder is discarded."""
-    x = z.values
-    w = z.period
-    n_windows = x.size // w
+    n_windows = x.size // period
     if n_windows < 2:
-        raise TooShort(f"need at least 2 tiles of width {w}, got length {x.size}")
-    tiles = x[: n_windows * w].reshape(n_windows, w)
+        raise TooShort(f"need at least 2 tiles of width {period}, got length {x.size}")
+    tiles = x[: n_windows * period].reshape(n_windows, period)
     return tiles.mean(axis=1), tiles.var(axis=1, ddof=1)
 
 
-def tiled_stats(z: StandardizedSeries) -> dict[str, float]:
+def tiled_stats(x: np.ndarray, period: int) -> dict[str, float]:
     """stability = variance of tile means; lumpiness = variance of tile variances."""
-    means, variances = tiled_windows(z)
+    means, variances = tiled_windows(x, period)
     return {
         "stability": float(means.var(ddof=1)),
         "lumpiness": float(variances.var(ddof=1)),
     }
 
 
-def nonlinearity(z: StandardizedSeries) -> float:
+def nonlinearity(x: np.ndarray) -> float:
     """Neural-network-style nonlinearity statistic, scaled to be length-free.
 
     Fits x_t on {1, x_{t-1}, x_{t-2}} by least squares, then regresses the
@@ -97,7 +92,6 @@ def nonlinearity(z: StandardizedSeries) -> float:
     before it is skipped: R^2 is the projection onto the span of the design
     even when it is rank-deficient, as for a series quantised to a few levels.
     """
-    x = z.values
     n = x.size
     if n < 20:
         raise TooShort("nonlinearity needs at least twenty points")

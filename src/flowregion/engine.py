@@ -1,5 +1,9 @@
 """Orchestration of the 28-feature vector and batch extraction over catchments.
 
+:func:`extract_features` standardizes a validated series once and passes the
+array ``x``, and the series' ``period`` where a feature needs it, to each
+feature function.
+
 :class:`FeatureConfig` holds the four estimator options a run may set: the
 Daniell spans of the spectral entropy and the three STL spans; a bad span
 raises :class:`ConfigError` when the config is built. Every other convention
@@ -11,6 +15,7 @@ decomposition runs two non-robust passes.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -133,19 +138,19 @@ def extract_features(series: TimeSeries, config: FeatureConfig | None = None) ->
     Upstream errors are re-raised as ExtractionFailed naming the feature.
     """
     cfg = config or FeatureConfig()
-    z = _step("standardize", lambda: standardize(validate(series)))
-    out, acfs = _step("acf features", lambda: dependence.acf_feature_set(z, return_acf=True))
-    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(z, acfs)))
-    out["std1st_der"] = _step("std1st_der", lambda: distributional.std1st_der(z))
+    x = _step("standardize", lambda: standardize(validate(series).values))
+    out, acfs = _step("acf features", lambda: dependence.acf_feature_set(x, series.period))
+    out.update(_step("pacf features", lambda: dependence.pacf_feature_set(acfs, series.period)))
+    out["std1st_der"] = _step("std1st_der", lambda: distributional.std1st_der(x))
     out["crossing_points"] = _step(
-        "crossing_points", lambda: float(distributional.crossing_points(z)))
+        "crossing_points", lambda: float(distributional.crossing_points(x)))
     out["entropy"] = _step("entropy", lambda: dependence.spectral_entropy(
-        z, smooth_spans=cfg.entropy_spans))
-    out["flat_spots"] = _step("flat_spots", lambda: float(distributional.flat_spots(z)))
-    out.update(_step("tiled stats", lambda: distributional.tiled_stats(z)))
-    out["nonlinearity"] = _step("nonlinearity", lambda: distributional.nonlinearity(z))
+        x, smooth_spans=cfg.entropy_spans))
+    out["flat_spots"] = _step("flat_spots", lambda: float(distributional.flat_spots(x)))
+    out.update(_step("tiled stats", lambda: distributional.tiled_stats(x, series.period)))
+    out["nonlinearity"] = _step("nonlinearity", lambda: distributional.nonlinearity(x))
     out.update(_step("decomposition features", lambda: decomposition.stl_feature_set(
-        z, seasonal_span=cfg.seasonal_span, trend_span=cfg.trend_span,
+        x, series.period, seasonal_span=cfg.seasonal_span, trend_span=cfg.trend_span,
         lowpass_span=cfg.lowpass_span)))
     return _step("feature vector", lambda: FeatureVector.from_dict(out))
 
@@ -188,9 +193,11 @@ def parallel_map(fn, items, workers: int, shared=None) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(shared, item) for item in items]
     native.kernel()  # workers inherit it; a failed build stops here, before any fork
+    # about four chunks per worker: few round trips, yet the load stays balanced
+    chunksize = math.ceil(len(items) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_item, items))
+        return list(pool.map(_run_item, items, chunksize=chunksize))
 
 
 def _extract_task(config, task):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import STATIC_ATTRIBUTES, CatchmentRecord
+from .dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord
 from .engine import FEATURE_NAMES, parallel_map
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
 from .forest import (
@@ -27,7 +27,6 @@ from .forest import (
     permutation_importance,
 )
 from .seeding import child_seed, child_seeds, substream
-from .series import VARIABLE_KINDS
 
 logger = logging.getLogger(__name__)
 

@@ -6,12 +6,12 @@ independent of scheduling and worker count: a tree, fold or permutation gets
 the same stream no matter where it runs.
 
 A stream is numpy's ``default_rng(SeedSequence(words))``, the words being the
-seed and the labels. :func:`substream` and :func:`child_seed` build the
-``SeedSequence`` for one label. :func:`substreams` and :func:`child_seeds`
-give the same generators and seeds for many labels at once: one call to
-``seed_states`` in the compiled ``_tree.c`` (:func:`flowregion.native.kernel`)
-hashes every label's words as ``SeedSequence`` does, and each generator's
-PCG64 is seeded from those words.
+seed and the labels. :func:`substreams` and :func:`child_seeds` give the
+generators and seeds for many labels at once: one call to ``seed_states`` in
+the compiled ``_tree.c`` (:func:`flowregion.native.kernel`) hashes every
+label's words as ``SeedSequence`` does, and each generator's PCG64 is seeded
+from those words. :func:`substream` and :func:`child_seed` are the same for
+one label.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ def _as_word(part) -> int:
     return int(part) & _MASK
 
 
-def sequence(seed, *parts) -> np.random.SeedSequence:
-    """Seed sequence for the substream labelled by ``parts`` under ``seed``."""
-    return np.random.SeedSequence([_as_word(seed)] + [_as_word(p) for p in parts])
-
-
 def substream(seed, *parts) -> np.random.Generator:
     """Generator for the substream labelled by ``parts`` under ``seed``."""
-    return np.random.default_rng(sequence(seed, *parts))
+    return next(substreams(seed, [parts]))
 
 
 def child_seed(seed, *parts) -> int:
@@ -49,7 +44,7 @@ def child_seed(seed, *parts) -> int:
 
     Used when an API boundary takes a seed rather than a generator.
     """
-    return int(sequence(seed, *parts).generate_state(1, dtype=np.uint64)[0] & _MASK)
+    return child_seeds(seed, [parts])[0]
 
 
 def _uint32_words(word: int) -> tuple[int, ...]:
@@ -59,8 +54,9 @@ def _uint32_words(word: int) -> tuple[int, ...]:
 
 
 def _states(seed, labels) -> np.ndarray:
-    """``sequence(seed, *label).generate_state(4, np.uint64)`` per label, one
-    row each, from one kernel call."""
+    """``SeedSequence(words).generate_state(4, np.uint64)`` per label, the
+    words being the seed's and the label's, one row each, from one kernel
+    call."""
     head = _uint32_words(_as_word(seed))
     words, offsets = [], [0]
     for label in labels:

@@ -1,15 +1,17 @@
-"""Daily time-series containers plus the preprocessing all features share."""
+"""The daily series container and the preprocessing all features share.
+
+Every feature function takes the standardized values as one float64 array
+``x`` (see :func:`standardize`), plus the seasonal ``period`` where the
+feature needs it.
+"""
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingData, NonFinite, TooShort, ZeroVariance
-
-VARIABLE_KINDS = ("temperature", "precipitation", "streamflow")
 
 DEFAULT_PERIOD = 365
 
@@ -24,9 +26,7 @@ class TimeSeries:
     """
 
     values: np.ndarray
-    start_date: datetime.date = datetime.date(1980, 1, 1)
     period: int = DEFAULT_PERIOD
-    variable_kind: str = "streamflow"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -34,25 +34,6 @@ class TimeSeries:
             raise ValueError("series values must be one-dimensional")
         if self.period < 2:
             raise ValueError(f"period must be >= 2, got {self.period}")
-        if self.variable_kind not in VARIABLE_KINDS:
-            raise ValueError(f"unknown variable kind {self.variable_kind!r}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass
-class StandardizedSeries:
-    """A series rescaled to sample mean 0 and sample standard deviation 1."""
-
-    values: np.ndarray
-    period: int = DEFAULT_PERIOD
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def validate(series: TimeSeries) -> TimeSeries:
@@ -74,7 +55,7 @@ def validate(series: TimeSeries) -> TimeSeries:
     return series
 
 
-def zscore(values: np.ndarray) -> np.ndarray:
+def standardize(values) -> np.ndarray:
     """(x - mean) / sd with the sample (n-1) standard deviation.
 
     x is first scaled by the power of two that brings max|x| into [0.5, 1),
@@ -89,11 +70,6 @@ def zscore(values: np.ndarray) -> np.ndarray:
     if sd == 0.0:
         raise ZeroVariance("constant series cannot be standardized")
     return (x - x.mean()) / sd
-
-
-def standardize(series: TimeSeries) -> StandardizedSeries:
-    """Scale a series to mean 0, sample standard deviation 1."""
-    return StandardizedSeries(zscore(series.values), period=series.period)
 
 
 def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import STATIC_ATTRIBUTES
 from .dependence import acf, spectral_entropy
 from .seeding import substream
-from .series import zscore
+from .series import standardize
 
 #: The streamflow feature with a planted dependence on precipitation features.
 PLANTED_TARGET = "seasonal_strength"
@@ -67,7 +67,7 @@ def catchment_series(rng, spec: SyntheticSpec) -> dict[str, np.ndarray]:
 
     # planted link: the designated features are measured on the generated
     # precipitation series and drive the streamflow seasonal amplitude
-    standardized = zscore(precipitation)
+    standardized = standardize(precipitation)
     entropy = spectral_entropy(standardized)
     r = acf(standardized, 10)
     z_entropy = (_ENTROPY_CENTER - entropy) / _ENTROPY_SCALE

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from flowregion import native
 from flowregion.errors import KernelBuildError
-from flowregion.series import StandardizedSeries, TimeSeries, zscore
+from flowregion.series import TimeSeries, standardize
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -32,13 +32,12 @@ def sine(n, period=365, amplitude=1.0, noise_sd=0.0, seed=0, phase=0.0):
     return x
 
 
-def standardized(values, period=365):
-    return StandardizedSeries(zscore(np.asarray(values, dtype=float)), period=period)
+def standardized(values):
+    return standardize(np.asarray(values, dtype=float))
 
 
-def daily_series(values, period=365, kind="streamflow"):
-    return TimeSeries(np.asarray(values, dtype=float), period=period,
-                      variable_kind=kind)
+def daily_series(values, period=365):
+    return TimeSeries(np.asarray(values, dtype=float), period=period)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from flowregion.regional import (
     write_evaluation,
 )
 from flowregion.seeding import child_seed
-from flowregion.series import StandardizedSeries, TimeSeries, zscore
+from flowregion.series import TimeSeries, standardize
 from flowregion.synthetic import (
     PLANTED_PREDICTORS,
     PLANTED_TARGET,
@@ -96,7 +96,7 @@ class TestFeatureOracles:
 
     def test_two_level_series_tiles(self):
         x = np.concatenate([-np.ones(365), np.ones(365)])
-        stats = tiled_stats(StandardizedSeries(zscore(x), period=365))
+        stats = tiled_stats(standardize(x), 365)
         assert 1.9 <= stats["stability"] <= 2.1
         assert stats["lumpiness"] <= 1e-8
         ok("two-level series: stability, lumpiness")
@@ -126,11 +126,11 @@ class TestNumericalEquivalence:
         worst = 0.0
         for _ in range(20):
             n = int(rng.integers(800, 1600))
-            x = zscore(
+            x = standardize(
                 rng.uniform(0.3, 2.0) * sine(n, seed=int(rng.integers(1 << 31)))
                 + rng.normal(size=n)
             )
-            dec = stl_decompose(StandardizedSeries(x, period=365))
+            dec = stl_decompose(x, 365)
             delta = np.abs(dec.trend + dec.seasonal + dec.remainder - x).max()
             worst = max(worst, delta)
         assert worst <= 1e-8

@@ -13,10 +13,11 @@ from flowregion.dataio import (
     read_attributes,
     read_series_file,
     STATIC_ATTRIBUTES,
+    VARIABLE_KINDS,
 )
 from flowregion.engine import extract_features
 from flowregion.errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
-from flowregion.series import VARIABLE_KINDS, TimeSeries
+from flowregion.series import TimeSeries
 
 from conftest import sine
 
@@ -368,8 +369,7 @@ class TestLoadDataset:
     def test_temperature_is_min_max_average(self, dataset):
         series_dir, attributes, per_catchment = dataset
         records, _ = load_dataset(series_dir, attributes, small_config())
-        expected = extract_features(TimeSeries(per_catchment["alpha"],
-                                               variable_kind="temperature"))
+        expected = extract_features(TimeSeries(per_catchment["alpha"]))
         # (tmin + tmax) / 2 reconstructs the temperature up to 1-ulp rounding
         np.testing.assert_allclose(records[0].temperature.values, expected.values,
                                    rtol=1e-9, atol=1e-9)

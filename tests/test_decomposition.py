@@ -20,7 +20,7 @@ from flowregion.decomposition import (
 )
 from flowregion.engine import FEATURE_NAMES, FeatureConfig, extract_features
 from flowregion.errors import TooShort
-from flowregion.series import StandardizedSeries, zscore
+from flowregion.series import standardize
 
 from conftest import ar1, daily_series, sine, standardized, white_noise
 
@@ -154,7 +154,7 @@ class TestLoessOperator:
     @pytest.mark.parametrize("length", ["span+1", 3650, 4999, 12410])
     def test_interior_matches_direct_convolution(self, span, length):
         n = span + 1 if length == "span+1" else length
-        y = zscore(sine(n, noise_sd=0.5, seed=n) + ar1(n, 0.9, seed=span))
+        y = standardize(sine(n, noise_sd=0.5, seed=n) + ar1(n, 0.9, seed=span))
         half = (span - 1) // 2
         kernel = _hat_rows(span, span, np.array([half]))[0]
         want = np.convolve(y, kernel[::-1], mode="valid")
@@ -261,39 +261,39 @@ def test_features_match_golden(shape):
 
 class TestStlDecompose:
     def test_reconstruction_identity(self, rng):
-        x = zscore(sine(1460, noise_sd=0.3, seed=1))
-        dec = stl_decompose(StandardizedSeries(x, period=365))
+        x = standardize(sine(1460, noise_sd=0.3, seed=1))
+        dec = stl_decompose(x, 365)
         np.testing.assert_allclose(
             dec.trend + dec.seasonal + dec.remainder, x, atol=1e-8
         )
 
     def test_pure_sine_recovered(self):
-        x = zscore(sine(3650, noise_sd=0.01, seed=2))
-        dec = stl_decompose(StandardizedSeries(x, period=365))
-        clean = zscore(sine(3650))
+        x = standardize(sine(3650, noise_sd=0.01, seed=2))
+        dec = stl_decompose(x, 365)
+        clean = standardize(sine(3650))
         assert np.corrcoef(dec.seasonal, clean)[0, 1] >= 0.99
         assert abs(dec.trend.mean()) <= 0.05
         assert dec.trend.std() <= 0.1
 
     def test_ramp_recovered_as_trend(self, rng):
         t = np.arange(3650.0)
-        x = zscore(0.001 * t + 0.01 * rng.normal(size=3650))
-        dec = stl_decompose(StandardizedSeries(x, period=365))
+        x = standardize(0.001 * t + 0.01 * rng.normal(size=3650))
+        dec = stl_decompose(x, 365)
         assert np.corrcoef(dec.trend, t)[0, 1] >= 0.99
         assert dec.seasonal.std() <= 0.1
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            stl_decompose(StandardizedSeries(np.zeros(700), period=365))
+            stl_decompose(np.zeros(700), 365)
 
     def test_component_lengths(self, rng):
         x = rng.normal(size=1100)
-        dec = stl_decompose(StandardizedSeries(x, period=365))
+        dec = stl_decompose(x, 365)
         assert dec.trend.size == dec.seasonal.size == dec.remainder.size == 1100
 
     def test_finite_seasonal_span_supported(self, rng):
-        x = zscore(sine(400, period=50, noise_sd=0.2, seed=3))
-        dec = stl_decompose(StandardizedSeries(x, period=50), seasonal_span=7)
+        x = standardize(sine(400, period=50, noise_sd=0.2, seed=3))
+        dec = stl_decompose(x, 50, seasonal_span=7)
         np.testing.assert_allclose(
             dec.trend + dec.seasonal + dec.remainder, x, atol=1e-8
         )
@@ -301,58 +301,58 @@ class TestStlDecompose:
 
 class TestStlFeatureSet:
     def test_keyed_by_feature_names(self):
-        feats = stl_feature_set(standardized(sine(1460, noise_sd=0.3, seed=4), period=365))
+        feats = stl_feature_set(standardized(sine(1460, noise_sd=0.3, seed=4)), 365)
         assert list(feats) == [n for n in FEATURE_NAMES if n in feats] and len(feats) == 9
 
     def test_seasonal_dominates(self):
-        z = standardized(sine(3650, noise_sd=0.1, seed=5), period=365)
-        feats = stl_feature_set(z)
+        z = standardized(sine(3650, noise_sd=0.1, seed=5))
+        feats = stl_feature_set(z, 365)
         assert feats["seasonal_strength"] >= 0.95
         assert feats["trend"] <= 0.2
 
     def test_trend_dominates(self, rng):
         x = 3.0 * np.arange(3650.0) / 3650.0 + 0.1 * rng.normal(size=3650)
-        feats = stl_feature_set(standardized(x, period=365))
+        feats = stl_feature_set(standardized(x), 365)
         assert feats["trend"] >= 0.95
         assert feats["seasonal_strength"] <= 0.2
         assert feats["linearity"] > 0
 
     def test_strength_swap_between_constructions(self, rng):
         seasonal_feats = stl_feature_set(
-            standardized(sine(2920, noise_sd=0.1, seed=6), period=365))
+            standardized(sine(2920, noise_sd=0.1, seed=6)), 365)
         trend_feats = stl_feature_set(
-            standardized(np.arange(2920.0) + 30 * rng.normal(size=2920), period=365))
+            standardized(np.arange(2920.0) + 30 * rng.normal(size=2920)), 365)
         assert seasonal_feats["seasonal_strength"] > trend_feats["seasonal_strength"]
         assert trend_feats["trend"] > seasonal_feats["trend"]
 
     def test_sine_peak_trough_positions(self):
-        z = standardized(sine(3650, noise_sd=0.01, seed=7), period=365)
-        feats = stl_feature_set(z)
+        z = standardized(sine(3650, noise_sd=0.01, seed=7))
+        feats = stl_feature_set(z, 365)
         assert feats["peak"] in (91, 92, 93)
         assert feats["trough"] in (273, 274, 275)
 
     def test_descending_linearity_negative(self, rng):
         x = -np.arange(3650.0) + 20 * rng.normal(size=3650)
-        feats = stl_feature_set(standardized(x, period=365))
+        feats = stl_feature_set(standardized(x), 365)
         assert feats["linearity"] < 0
 
     def test_white_noise_remainder_acf(self):
-        z = standardized(white_noise(3650, seed=8), period=365)
-        feats = stl_feature_set(z)
+        z = standardized(white_noise(3650, seed=8))
+        feats = stl_feature_set(z, 365)
         assert abs(feats["e_acf1"]) <= 0.05
 
     def test_strengths_clamped(self, rng):
         for seed in range(5):
-            z = standardized(white_noise(900, seed=seed), period=365)
-            feats = stl_feature_set(z)
+            z = standardized(white_noise(900, seed=seed))
+            feats = stl_feature_set(z, 365)
             assert 0.0 <= feats["trend"] <= 1.0
             assert 0.0 <= feats["seasonal_strength"] <= 1.0
             assert feats["spike"] >= 0.0
 
     def test_peak_trough_shift_invariant(self):
         x = sine(2920, noise_sd=0.05, seed=9)
-        a = stl_feature_set(standardized(x, period=365))
-        b = stl_feature_set(standardized(x + 100.0, period=365))
+        a = stl_feature_set(standardized(x), 365)
+        b = stl_feature_set(standardized(x + 100.0), 365)
         assert (a["peak"], a["trough"]) == (b["peak"], b["trough"])
 
 

@@ -7,11 +7,12 @@ from flowregion.dependence import (
     acf,
     acf_feature_set,
     pacf,
+    pacf_feature_set,
     pacf_from_acf,
     spectral_entropy,
 )
 from flowregion.errors import LagTooLarge, TooShort, ZeroVariance
-from flowregion.series import zscore
+from flowregion.series import difference, standardize
 
 from conftest import ar1, sine, standardized, white_noise
 
@@ -87,68 +88,59 @@ class TestPacf:
 class TestAcfFeatureSet:
     def test_alternating_firstzero(self):
         x = np.tile([1.0, -1.0], 400)
-        feats = acf_feature_set(standardized(x, period=10))
+        feats, _ = acf_feature_set(standardized(x), 10)
         assert feats["firstzero_ac"] == 1
 
     def test_sine_seasonal_structure(self):
-        z = standardized(sine(3650), period=365)
-        feats = acf_feature_set(z)
+        feats, _ = acf_feature_set(standardized(sine(3650)), 365)
         # biased estimator shrinks lag-365 by about (n - 365) / n = 0.9
         assert feats["seas_acf1"] == pytest.approx(0.9, abs=0.02)
         assert 90 <= feats["firstzero_ac"] <= 94
 
     def test_white_noise_acf10(self):
-        z = standardized(white_noise(5000, seed=5), period=365)
-        assert acf_feature_set(z)["x_acf10"] <= 0.01
+        feats, _ = acf_feature_set(standardized(white_noise(5000, seed=5)), 365)
+        assert feats["x_acf10"] <= 0.01
 
     def test_scan_cap_on_positive_acf(self):
         # strong slow trend keeps the ACF positive through the scan horizon
-        z = standardized(np.arange(3650.0), period=365)
-        feats = acf_feature_set(z)
+        feats, _ = acf_feature_set(standardized(np.arange(3650.0)), 365)
         assert feats["firstzero_ac"] == 730
 
     def test_x_acf10_dominates_x_acf1_squared(self, rng):
-        z = standardized(rng.normal(size=900), period=365)
-        feats = acf_feature_set(z)
+        feats, _ = acf_feature_set(standardized(rng.normal(size=900)), 365)
         assert feats["x_acf10"] >= feats["x_acf1"] ** 2 - 1e-12
         assert 0 <= feats["x_acf10"] <= 10
         assert -1 <= feats["x_acf1"] <= 1
 
 
+def pacf_features(z, period=365):
+    return pacf_feature_set(acf_feature_set(z, period)[1], period)
+
+
 class TestPacfFeatureSet:
     def test_ar1_pacf5(self):
-        from flowregion.dependence import pacf_feature_set
-
-        z = standardized(ar1(5000, 0.8, seed=21), period=365)
-        feats = pacf_feature_set(z)
+        feats = pacf_features(standardized(ar1(5000, 0.8, seed=21)))
         assert feats["x_pacf5"] == pytest.approx(0.64, abs=0.05)
 
     def test_white_noise_pacf5(self):
-        from flowregion.dependence import pacf_feature_set
-
-        z = standardized(white_noise(5000, seed=9), period=365)
-        feats = pacf_feature_set(z)
+        feats = pacf_features(standardized(white_noise(5000, seed=9)))
         assert feats["x_pacf5"] <= 0.01
 
     @pytest.mark.parametrize("n, period", [(900, 365), (3650, 365), (12410, 365),
                                            (400, 12), (60, 7)])
     def test_reused_acf_prefix_is_bit_identical(self, n, period):
-        from flowregion.dependence import pacf_feature_set
-
         x = ar1(n, 0.6, seed=n) + sine(n, period=period, seed=period)
-        z = standardized(x, period=period)
-        features, acfs = acf_feature_set(z, return_acf=True)
-        assert features == acf_feature_set(z)
+        z = standardized(x)
+        _, acfs = acf_feature_set(z, period)
         assert acfs[0].size >= period
-        assert pacf_feature_set(z, acfs) == pacf_feature_set(z)
+        # the ACFs at the shortest lag counts the PACF features read
+        shortest = acf(z, period), acf(difference(z, 1), 5), acf(difference(z, 2), 5)
+        assert pacf_feature_set(acfs, period) == pacf_feature_set(shortest, period)
 
     def test_lower_bound_by_first_partial(self, rng):
-        from flowregion.dependence import pacf_feature_set
-
-        x = rng.normal(size=1200)
-        z = standardized(x, period=365)
-        feats = pacf_feature_set(z)
-        r1 = acf(z.values, 1)[0]
+        z = standardized(rng.normal(size=1200))
+        feats = pacf_features(z)
+        r1 = acf(z, 1)[0]
         assert feats["x_pacf5"] >= r1**2 - 1e-12
 
 
@@ -163,7 +155,7 @@ class TestSpectralEntropy:
         t = np.arange(1, 2049.0)
         one = np.sin(2 * np.pi * t / 64)
         two = one + np.sin(2 * np.pi * t / 16)
-        assert spectral_entropy(zscore(two)) > spectral_entropy(zscore(one))
+        assert spectral_entropy(standardize(two)) > spectral_entropy(standardize(one))
 
     def test_bounds(self, rng):
         for _ in range(10):

@@ -95,7 +95,7 @@ def _batch_tasks(n_catchments=2, bad=None):
             x = sine(1095, noise_sd=0.3, seed=10 * i + k)
             if bad == (cid, kind):
                 x = np.zeros(1095)  # ZeroVariance downstream
-            tasks.append((cid, kind, TimeSeries(x, variable_kind=kind)))
+            tasks.append((cid, kind, TimeSeries(x)))
     return tasks
 
 
@@ -134,8 +134,7 @@ class TestExtractBatch:
             rng = np.random.default_rng(seed)
             x = np.round(0.1 * rng.gamma(2.0, size=3650)
                          + 1.67 * np.cos(2.0 * np.pi * t / 365) + 20.3)
-            tasks.append((f"c{seed:02d}", "temperature",
-                          TimeSeries(x, variable_kind="temperature")))
+            tasks.append((f"c{seed:02d}", "temperature", TimeSeries(x)))
         rows, exclusions = extract_batch(tasks, policy="drop")
         assert not exclusions and len(rows) == 6
         for row in rows:
