@@ -193,8 +193,11 @@ def parallel_map(fn, items, workers: int, shared=None) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(shared, item) for item in items]
     native.kernel()  # workers inherit it; a failed build stops here, before any fork
-    # about four chunks per worker: few round trips, yet the load stays balanced
-    chunksize = math.ceil(len(items) / (4 * workers))
+    # A chunk size that divides each worker's even share of the items gives no
+    # worker more than that share, so equal-cost items end as early as one at a
+    # time would; take the largest that leaves every worker four chunks, or 1.
+    share = math.ceil(len(items) / workers)
+    chunksize = max((c for c in range(2, share // 4 + 1) if share % c == 0), default=1)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
         return list(pool.map(_run_item, items, chunksize=chunksize))

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from flowregion import native
 from flowregion.errors import KernelBuildError
-from flowregion.series import TimeSeries, standardize
+from flowregion.series import TimeSeries
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -30,10 +30,6 @@ def sine(n, period=365, amplitude=1.0, noise_sd=0.0, seed=0, phase=0.0):
     if noise_sd > 0:
         x = x + np.random.default_rng(seed).normal(0.0, noise_sd, size=n)
     return x
-
-
-def standardized(values):
-    return standardize(np.asarray(values, dtype=float))
 
 
 def daily_series(values, period=365):

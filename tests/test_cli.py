@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import hashlib
 import json
@@ -44,27 +43,6 @@ class TestExtract:
         again = tmp_path / "again"
         assert run("extract", "--out", str(again), *SMALL_SYNTH) == 0
         assert (again / "features.csv").read_bytes() == (extracted / "features.csv").read_bytes()
-
-    def test_exclusions_are_three_field_csv(self, extracted, tmp_path):
-        # the ParseError reason quotes the bad line, commas and all
-        data = tmp_path / "data"
-        shutil.copytree(extracted / "synthetic_data", data)
-        path = data / "synth001_tmax.csv"
-        lines = path.read_text().splitlines()
-        lines[100] += ",9"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "o"
-        assert run("extract", "--series-dir", str(data), "--attributes",
-                   str(data / "attributes.csv"), "--start", "1994-01-01",
-                   "--end", "1996-12-31", "--workers", "1", "--drop",
-                   "--out", str(out)) == 0
-        with open(out / "exclusions.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["catchment_id", "variable", "reason"]
-        assert [row[:2] for row in rows[1:]] == [["synth001", "*"]]
-        assert all(len(row) == 3 for row in rows)
-        assert rows[1][2].startswith(f"ParseError: {path}:101: ")
-        assert rows[1][2].endswith(f"{lines[100]!r}")
 
     def test_missing_attributes_exits_2(self, tmp_path):
         code = run("extract", "--series-dir", str(tmp_path),

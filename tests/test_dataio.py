@@ -1,3 +1,4 @@
+import csv
 import datetime
 import random
 import shutil
@@ -505,11 +506,18 @@ class TestIngestFailures:
                 assert (a.features(variable).values.tobytes()
                         == b.features(variable).values.tobytes())
 
-    @pytest.mark.parametrize("policy, code, rows", [("--drop", cli.EXIT_OK, 2),
-                                                    ("--strict", cli.EXIT_INPUT, None)])
-    def test_cli_malformed_file(self, dataset, tmp_path, policy, code, rows):
+    @pytest.mark.parametrize("policy, code, rows, line, reason", [
+        pytest.param("--drop", cli.EXIT_OK, 2, "1999-01-07,warm",
+                     "could not convert string to float: 'warm'", id="--drop-0-2"),
+        pytest.param("--strict", cli.EXIT_INPUT, None, "1999-01-07,warm", None,
+                     id="--strict-2-None"),
+        # the reason quotes the line, commas and all, yet stays one CSV field
+        pytest.param("--drop", cli.EXIT_OK, 2, "1999-01-07,12.5,9",
+                     "expected two fields, got '1999-01-07,12.5,9'", id="--drop-0-2-comma"),
+    ])
+    def test_cli_malformed_file(self, dataset, tmp_path, policy, code, rows, line, reason):
         series_dir, attributes, _ = dataset
-        replace_line(series_dir / "beta_tmax.csv", 7, "1999-01-07,warm")
+        replace_line(series_dir / "beta_tmax.csv", 7, line)
         out = tmp_path / "out"
         assert cli.main(["extract", "--series-dir", str(series_dir), "--attributes",
                          str(attributes), "--out", str(out), "--start", "1999-01-01",
@@ -517,7 +525,8 @@ class TestIngestFailures:
         if rows is not None:
             features = (out / "features.csv").read_text().splitlines()
             assert len(features) == 1 + 3 * rows
-            exclusions = (out / "exclusions.csv").read_text().splitlines()
-            assert exclusions[1].startswith("beta,*,ParseError: ")
-            assert exclusions[1].endswith("beta_tmax.csv:8: could not convert string "
-                                          "to float: 'warm'")
+            with open(out / "exclusions.csv", newline="", encoding="utf-8") as fh:
+                exclusions = list(csv.reader(fh))
+            assert all(len(row) == 3 for row in exclusions)
+            assert exclusions[1] == ["beta", "*", f"ParseError: {series_dir / 'beta_tmax.csv'}:8: "
+                                                  f"{reason}"]

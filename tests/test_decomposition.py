@@ -22,7 +22,7 @@ from flowregion.engine import FEATURE_NAMES, FeatureConfig, extract_features
 from flowregion.errors import TooShort
 from flowregion.series import standardize
 
-from conftest import ar1, daily_series, sine, standardized, white_noise
+from conftest import ar1, daily_series, sine, white_noise
 
 
 class TestLoess:
@@ -301,49 +301,49 @@ class TestStlDecompose:
 
 class TestStlFeatureSet:
     def test_keyed_by_feature_names(self):
-        feats = stl_feature_set(standardized(sine(1460, noise_sd=0.3, seed=4)), 365)
+        feats = stl_feature_set(standardize(sine(1460, noise_sd=0.3, seed=4)), 365)
         assert list(feats) == [n for n in FEATURE_NAMES if n in feats] and len(feats) == 9
 
     def test_seasonal_dominates(self):
-        z = standardized(sine(3650, noise_sd=0.1, seed=5))
+        z = standardize(sine(3650, noise_sd=0.1, seed=5))
         feats = stl_feature_set(z, 365)
         assert feats["seasonal_strength"] >= 0.95
         assert feats["trend"] <= 0.2
 
     def test_trend_dominates(self, rng):
         x = 3.0 * np.arange(3650.0) / 3650.0 + 0.1 * rng.normal(size=3650)
-        feats = stl_feature_set(standardized(x), 365)
+        feats = stl_feature_set(standardize(x), 365)
         assert feats["trend"] >= 0.95
         assert feats["seasonal_strength"] <= 0.2
         assert feats["linearity"] > 0
 
     def test_strength_swap_between_constructions(self, rng):
         seasonal_feats = stl_feature_set(
-            standardized(sine(2920, noise_sd=0.1, seed=6)), 365)
+            standardize(sine(2920, noise_sd=0.1, seed=6)), 365)
         trend_feats = stl_feature_set(
-            standardized(np.arange(2920.0) + 30 * rng.normal(size=2920)), 365)
+            standardize(np.arange(2920.0) + 30 * rng.normal(size=2920)), 365)
         assert seasonal_feats["seasonal_strength"] > trend_feats["seasonal_strength"]
         assert trend_feats["trend"] > seasonal_feats["trend"]
 
     def test_sine_peak_trough_positions(self):
-        z = standardized(sine(3650, noise_sd=0.01, seed=7))
+        z = standardize(sine(3650, noise_sd=0.01, seed=7))
         feats = stl_feature_set(z, 365)
         assert feats["peak"] in (91, 92, 93)
         assert feats["trough"] in (273, 274, 275)
 
     def test_descending_linearity_negative(self, rng):
         x = -np.arange(3650.0) + 20 * rng.normal(size=3650)
-        feats = stl_feature_set(standardized(x), 365)
+        feats = stl_feature_set(standardize(x), 365)
         assert feats["linearity"] < 0
 
     def test_white_noise_remainder_acf(self):
-        z = standardized(white_noise(3650, seed=8))
+        z = standardize(white_noise(3650, seed=8))
         feats = stl_feature_set(z, 365)
         assert abs(feats["e_acf1"]) <= 0.05
 
     def test_strengths_clamped(self, rng):
         for seed in range(5):
-            z = standardized(white_noise(900, seed=seed))
+            z = standardize(white_noise(900, seed=seed))
             feats = stl_feature_set(z, 365)
             assert 0.0 <= feats["trend"] <= 1.0
             assert 0.0 <= feats["seasonal_strength"] <= 1.0
@@ -351,8 +351,8 @@ class TestStlFeatureSet:
 
     def test_peak_trough_shift_invariant(self):
         x = sine(2920, noise_sd=0.05, seed=9)
-        a = stl_feature_set(standardized(x), 365)
-        b = stl_feature_set(standardized(x + 100.0), 365)
+        a = stl_feature_set(standardize(x), 365)
+        b = stl_feature_set(standardize(x + 100.0), 365)
         assert (a["peak"], a["trough"]) == (b["peak"], b["trough"])
 
 

@@ -14,7 +14,7 @@ from flowregion.dependence import (
 from flowregion.errors import LagTooLarge, TooShort, ZeroVariance
 from flowregion.series import difference, standardize
 
-from conftest import ar1, sine, standardized, white_noise
+from conftest import ar1, sine, white_noise
 
 
 def yule_walker_pacf(r):
@@ -88,26 +88,26 @@ class TestPacf:
 class TestAcfFeatureSet:
     def test_alternating_firstzero(self):
         x = np.tile([1.0, -1.0], 400)
-        feats, _ = acf_feature_set(standardized(x), 10)
+        feats, _ = acf_feature_set(standardize(x), 10)
         assert feats["firstzero_ac"] == 1
 
     def test_sine_seasonal_structure(self):
-        feats, _ = acf_feature_set(standardized(sine(3650)), 365)
+        feats, _ = acf_feature_set(standardize(sine(3650)), 365)
         # biased estimator shrinks lag-365 by about (n - 365) / n = 0.9
         assert feats["seas_acf1"] == pytest.approx(0.9, abs=0.02)
         assert 90 <= feats["firstzero_ac"] <= 94
 
     def test_white_noise_acf10(self):
-        feats, _ = acf_feature_set(standardized(white_noise(5000, seed=5)), 365)
+        feats, _ = acf_feature_set(standardize(white_noise(5000, seed=5)), 365)
         assert feats["x_acf10"] <= 0.01
 
     def test_scan_cap_on_positive_acf(self):
         # strong slow trend keeps the ACF positive through the scan horizon
-        feats, _ = acf_feature_set(standardized(np.arange(3650.0)), 365)
+        feats, _ = acf_feature_set(standardize(np.arange(3650.0)), 365)
         assert feats["firstzero_ac"] == 730
 
     def test_x_acf10_dominates_x_acf1_squared(self, rng):
-        feats, _ = acf_feature_set(standardized(rng.normal(size=900)), 365)
+        feats, _ = acf_feature_set(standardize(rng.normal(size=900)), 365)
         assert feats["x_acf10"] >= feats["x_acf1"] ** 2 - 1e-12
         assert 0 <= feats["x_acf10"] <= 10
         assert -1 <= feats["x_acf1"] <= 1
@@ -119,18 +119,18 @@ def pacf_features(z, period=365):
 
 class TestPacfFeatureSet:
     def test_ar1_pacf5(self):
-        feats = pacf_features(standardized(ar1(5000, 0.8, seed=21)))
+        feats = pacf_features(standardize(ar1(5000, 0.8, seed=21)))
         assert feats["x_pacf5"] == pytest.approx(0.64, abs=0.05)
 
     def test_white_noise_pacf5(self):
-        feats = pacf_features(standardized(white_noise(5000, seed=9)))
+        feats = pacf_features(standardize(white_noise(5000, seed=9)))
         assert feats["x_pacf5"] <= 0.01
 
     @pytest.mark.parametrize("n, period", [(900, 365), (3650, 365), (12410, 365),
                                            (400, 12), (60, 7)])
     def test_reused_acf_prefix_is_bit_identical(self, n, period):
         x = ar1(n, 0.6, seed=n) + sine(n, period=period, seed=period)
-        z = standardized(x)
+        z = standardize(x)
         _, acfs = acf_feature_set(z, period)
         assert acfs[0].size >= period
         # the ACFs at the shortest lag counts the PACF features read
@@ -138,7 +138,7 @@ class TestPacfFeatureSet:
         assert pacf_feature_set(acfs, period) == pacf_feature_set(shortest, period)
 
     def test_lower_bound_by_first_partial(self, rng):
-        z = standardized(rng.normal(size=1200))
+        z = standardize(rng.normal(size=1200))
         feats = pacf_features(z)
         r1 = acf(z, 1)[0]
         assert feats["x_pacf5"] >= r1**2 - 1e-12

@@ -15,7 +15,7 @@ from flowregion.errors import DegenerateRange, SingularDesign, TooShort
 from flowregion.series import standardize
 
 import nonlinearity_oracle as oracle
-from conftest import ar1, sine, standardized, white_noise
+from conftest import ar1, sine, white_noise
 
 
 def brute_force_crossings(x):
@@ -78,16 +78,16 @@ def brute_force_longest_run(labels):
 
 class TestStd1stDer:
     def test_ramp_is_zero(self):
-        z = standardized(np.arange(100.0))
+        z = standardize(np.arange(100.0))
         assert std1st_der(z) <= 1e-10
 
     def test_white_noise_sqrt_two(self):
-        z = standardized(white_noise(5000, seed=1))
+        z = standardize(white_noise(5000, seed=1))
         assert std1st_der(z) == pytest.approx(np.sqrt(2.0), abs=0.05)
 
     def test_ar1_variance_formula(self):
         # Var(x_{t+1} - x_t) = 2 (1 - phi) for a unit-variance AR(1)
-        z = standardized(ar1(5000, 0.8, seed=4))
+        z = standardize(ar1(5000, 0.8, seed=4))
         assert std1st_der(z) == pytest.approx(np.sqrt(2 * (1 - 0.8)), abs=0.05)
 
 
@@ -96,7 +96,7 @@ class TestCrossingPoints:
         assert crossing_points(standardize(np.tile([1.0, -1.0], 5))) == 9
 
     def test_monotone_ramp(self):
-        z = standardized(np.arange(100.0))
+        z = standardize(np.arange(100.0))
         assert crossing_points(z) == 1
 
     def test_matches_brute_force_on_permutation(self, rng):
@@ -153,7 +153,7 @@ class TestTiledStats:
         assert stats["lumpiness"] <= 1e-10
 
     def test_white_noise_stability(self):
-        z = standardized(white_noise(36500, seed=8))
+        z = standardize(white_noise(36500, seed=8))
         assert tiled_stats(z, 365)["stability"] <= 0.02
 
     def test_two_window_definition(self, rng):
