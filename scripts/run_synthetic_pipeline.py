@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -49,10 +50,10 @@ def run(argv=None):
     for group, rmse in zip(payload["groups"], payload["rmse"][ti]):
         print(f"  RMSE[{group:>3}] = {rmse:.4f}")
     ranks = {}
-    for line in (args.out / "importance.csv").read_text().splitlines()[1:]:
-        target, predictor, _, rank = line.rsplit(",", 3)
-        if target == PLANTED_TARGET and predictor in PLANTED_PREDICTORS:
-            ranks[predictor] = int(rank)
+    with open(args.out / "importance.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["target"] == PLANTED_TARGET and row["predictor"] in PLANTED_PREDICTORS:
+                ranks[row["predictor"]] = int(row["rank"])
     print(f"importance ranks for the planted predictors: {ranks}")
     return 0
 

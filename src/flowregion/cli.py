@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 input error, 3 extraction error, 4 config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -31,7 +30,7 @@ from . import synthetic
 from .dataio import SERIES_VARIABLES, VARIABLE_KINDS, IngestConfig, assemble_rows, read_attributes
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
-from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table
+from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table, write_table
 from .errors import (
     ConfigError,
     ExtractionFailed,
@@ -260,12 +259,8 @@ def _extract_records(cfg: RunConfig):
     ]
     rows.sort(key=lambda row: (row.catchment_id, row.variable))
     write_feature_table(cfg.output_dir / "features.csv", rows)
-    with open(cfg.output_dir / "exclusions.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        # a reason may hold commas and quotes: a ParseError quotes the bad line
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("catchment_id", "variable", "reason"))
-        writer.writerows((exc.catchment_id, exc.variable, exc.reason) for exc in exclusions)
+    write_table(cfg.output_dir / "exclusions.csv", ("catchment_id", "variable", "reason"),
+                ((exc.catchment_id, exc.variable, exc.reason) for exc in exclusions))
     stamp.write_text(fingerprint, encoding="utf-8")
     return records
 

@@ -320,10 +320,8 @@ def load_dataset(
         [result for _, results in loaded for result in results], config.policy,
         failed=[(cid, error) for cid, (error, _) in zip(ids, loaded) if error is not None],
     )
-    excluded = {e.catchment_id for e in exclusions}
     # a catchment is all three vectors or nothing
-    kept = [row for row in rows if row.catchment_id not in excluded]
-    return assemble_rows(kept, attributes), exclusions
+    return assemble_rows(rows, attributes), exclusions
 
 
 def assemble_rows(rows: list[FeatureRow], attributes) -> list[CatchmentRecord]:

@@ -14,6 +14,7 @@ decomposition runs two non-robust passes.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -276,28 +277,31 @@ def extract_batch(
                            policy)
 
 
+def write_table(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as RFC 4180 CSV with LF line ends, the one
+    format of every table the pipeline writes: a field holding a comma, quote or
+    line break is quoted, and a float is written as its round-trip ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_feature_table(path, rows: list[FeatureRow]) -> None:
-    """Serialize feature rows as delimited text with round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("catchment_id,variable," + ",".join(FEATURE_NAMES) + "\n")
-        for row in rows:
-            values = ",".join(repr(float(v)) for v in row.features.values)
-            fh.write(f"{row.catchment_id},{row.variable},{values}\n")
+    """Write feature rows as ``catchment_id,variable,<28 features>`` rows."""
+    write_table(path, ("catchment_id", "variable", *FEATURE_NAMES),
+                ((row.catchment_id, row.variable, *row.features.values.tolist())
+                 for row in rows))
 
 
 def read_feature_table(path) -> list[FeatureRow]:
     """Parse a feature table written by :func:`write_feature_table`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        expected = ["catchment_id", "variable", *FEATURE_NAMES]
-        if header != expected:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["catchment_id", "variable", *FEATURE_NAMES]:
             raise ValueError(f"unexpected feature table header in {path}")
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(FeatureRow(
-                catchment_id=parts[0],
-                variable=parts[1],
-                features=FeatureVector(np.array([float(v) for v in parts[2:]])),
-            ))
-    return rows
+        return [
+            FeatureRow(catchment_id=parts[0], variable=parts[1],
+                       features=FeatureVector(np.array([float(v) for v in parts[2:]])))
+            for parts in reader
+        ]

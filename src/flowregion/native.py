@@ -10,10 +10,11 @@ The cached file is named by the sha256 of every source, the compiler
 command, the flags and the compiler's ``--version`` output, so an edited
 source or another compiler is never served a stale build. A build writes a
 temporary file and renames it into place, so processes that build at once
-each load a complete library, and then deletes every other library in the
-cache, so superseded builds do not pile up. One race remains: when two
-different sources are built from one checkout at once, each may delete the
-other's library before that process has loaded it, and that load fails.
+each load a complete library. Every build, compiled or found cached, then
+deletes every other library in the cache, so superseded builds do not pile
+up. One race remains: when two different sources are built from one
+checkout at once, each may delete the other's library before that process
+has loaded it, and that load fails.
 :func:`kernel` loads the library once per process, on first use; nothing is
 built at import.
 """
@@ -70,25 +71,25 @@ def _run(command: list[str]) -> subprocess.CompletedProcess:
 
 def build(sources: tuple[Path, ...] = SOURCES, cache: Path = CACHE) -> Path:
     """Path of the shared library built from ``sources``, compiling it into
-    ``cache`` unless a build of the same sources, compiler and flags is there."""
+    ``cache`` unless a build of the same sources, compiler and flags is there.
+    Every other library in ``cache`` is deleted."""
     compiler = _compiler()
     version = _run([*compiler, "--version"]).stdout
     key = repr(([s.read_bytes() for s in sources], compiler, FLAGS, version)).encode()
     target = cache / f"kernels-{hashlib.sha256(key).hexdigest()[:24]}.so"
-    if target.exists():
-        return target
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{target.name}.", suffix=".tmp")
-        os.close(fd)
-    except OSError as exc:
-        raise KernelBuildError(f"cannot write the kernel cache {cache}: {exc}") from exc
-    try:
-        _run([*compiler, *FLAGS, "-o", tmp, *map(str, sources)])
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    if not target.exists():
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{target.name}.", suffix=".tmp")
+            os.close(fd)
+        except OSError as exc:
+            raise KernelBuildError(f"cannot write the kernel cache {cache}: {exc}") from exc
+        try:
+            _run([*compiler, *FLAGS, "-o", tmp, *map(str, sources)])
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     for stale in cache.glob("*.so"):
         if stale != target:
             try:

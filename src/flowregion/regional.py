@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord
-from .engine import FEATURE_NAMES, parallel_map
+from .engine import FEATURE_NAMES, parallel_map, write_table
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
 from .forest import (
     DesignMatrix,
@@ -392,31 +392,25 @@ def feature_summary(records: list[CatchmentRecord]) -> list[SummaryRow]:
     return rows
 
 
-# -- report serialization -----------------------------------------------------
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
+# -- report serialization: every table through engine.write_table -------------
 
 def write_correlations(path, matrix: CorrelationMatrix) -> None:
-    """Long-format predictor,target,rho with an explicit undefined marker."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("predictor,target,rho\n")
-        for i, predictor in enumerate(matrix.predictors):
-            for j, target in enumerate(matrix.targets):
-                v = matrix.rho[i, j]
-                marker = "undefined" if np.isnan(v) else _fmt(v)
-                fh.write(f"{predictor},{target},{marker}\n")
+    """Long-format ``predictor,target,rho`` rows; a NaN rho is written ``undefined``."""
+    write_table(path, ("predictor", "target", "rho"), (
+        (predictor, target, "undefined" if np.isnan(v) else v)
+        for predictor, row in zip(matrix.predictors, matrix.rho.tolist())
+        for target, v in zip(matrix.targets, row)
+    ))
 
 
 def write_importance(path, reports: dict[str, ImportanceReport]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("target,predictor,score,rank\n")
-        for target in FEATURE_NAMES:
-            report = reports[target]
-            for predictor, score, rank in zip(report.predictors, report.scores,
-                                              report.ranks):
-                fh.write(f"{target},{predictor},{_fmt(score)},{int(rank)}\n")
+    """``target,predictor,score,rank`` rows, targets in canonical feature order."""
+    write_table(path, ("target", "predictor", "score", "rank"), (
+        (target, *row)
+        for target in FEATURE_NAMES
+        for row in zip(reports[target].predictors, reports[target].scores.tolist(),
+                       reports[target].ranks.tolist())
+    ))
 
 
 def _json_rows(matrix: np.ndarray) -> list[list[float | None]]:
@@ -441,28 +435,19 @@ def write_evaluation(path, report: EvaluationReport) -> None:
         fh.write("\n")
 
 
-def read_evaluation(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_pred_vs_obs(path, report: EvaluationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("target,catchment_id,observed,predicted\n")
-        for target in report.targets:
-            if target not in report.predicted:
-                continue
-            obs = report.observed[target]
-            pred = report.predicted[target]
-            for cid, o, p in zip(report.catchment_ids, obs, pred):
-                fh.write(f"{target},{cid},{_fmt(o)},{_fmt(p)}\n")
+    """``target,catchment_id,observed,predicted`` rows of each predicted target."""
+    write_table(path, ("target", "catchment_id", "observed", "predicted"), (
+        (target, *row)
+        for target in report.targets if target in report.predicted
+        for row in zip(report.catchment_ids, report.observed[target].tolist(),
+                       report.predicted[target].tolist())
+    ))
 
 
 def write_summaries(path, rows: list[SummaryRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("variable,feature,min,q1,median,q3,max,mean\n")
-        for r in rows:
-            fh.write(
-                f"{r.variable},{r.feature},{_fmt(r.minimum)},{_fmt(r.q1)},"
-                f"{_fmt(r.median)},{_fmt(r.q3)},{_fmt(r.maximum)},{_fmt(r.mean)}\n"
-            )
+    """``variable,feature,min,q1,median,q3,max,mean`` rows."""
+    write_table(path, ("variable", "feature", "min", "q1", "median", "q3", "max", "mean"), (
+        (r.variable, r.feature, r.minimum, r.q1, r.median, r.q3, r.maximum, r.mean)
+        for r in rows
+    ))

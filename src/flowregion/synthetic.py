@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataio import STATIC_ATTRIBUTES
 from .dependence import acf, spectral_entropy
+from .engine import write_table
 from .seeding import substream
 from .series import standardize
 
@@ -151,20 +152,17 @@ def generate(series_dir, attributes_file, seed: int = 7,
     days, grid = _calendar(spec)
     dates = [day.isoformat() + "," for day in days]
     ids = [f"synth{i:03d}" for i in range(spec.n_catchments)]
-    with open(attributes_file, "w", encoding="utf-8", newline="\n") as attr_fh:
-        attr_fh.write("catchment_id," + ",".join(STATIC_ATTRIBUTES) + "\n")
-        for i, cid in enumerate(ids):
-            rng = substream(seed, "catchment", i)
-            series = catchment_series(rng, spec)
-            attrs = catchment_attributes(rng)
-            attr_fh.write(
-                cid + "," + ",".join(repr(float(attrs[a])) for a in STATIC_ATTRIBUTES)
-                + "\n"
-            )
-            for variable, values in series.items():
-                path = series_dir / f"{cid}_{variable}.csv"
-                daily = values[grid]
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("date,value\n")
-                    fh.writelines(f"{date}{v!r}\n" for date, v in zip(dates, daily.tolist()))
+    attribute_rows = []
+    for i, cid in enumerate(ids):
+        rng = substream(seed, "catchment", i)
+        series = catchment_series(rng, spec)
+        attrs = catchment_attributes(rng)
+        attribute_rows.append((cid, *(float(attrs[a]) for a in STATIC_ATTRIBUTES)))
+        for variable, values in series.items():
+            path = series_dir / f"{cid}_{variable}.csv"
+            daily = values[grid]
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("date,value\n")
+                fh.writelines(f"{date}{v!r}\n" for date, v in zip(dates, daily.tolist()))
+    write_table(attributes_file, ("catchment_id", *STATIC_ATTRIBUTES), attribute_rows)
     return ids

@@ -8,6 +8,7 @@ dataset export.
 """
 
 import datetime
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -32,7 +33,6 @@ from flowregion.regional import (
     evaluate_all,
     kfold_split,
     predictor_matrix,
-    read_evaluation,
     spearman,
     target_vector,
     write_evaluation,
@@ -271,7 +271,7 @@ class TestPipeline:
                               seed=42, k=10, workers=WORKERS)
         path = tmp_path / "evaluation.json"
         write_evaluation(path, report)
-        payload = read_evaluation(path)
+        payload = json.loads(path.read_text())
         rmse = np.asarray(payload["rmse"])
         assert rmse.shape == (28, 7) and rmse.size == 196
         for row in payload["ranks"]:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -173,6 +174,26 @@ class TestCrossval:
                    *SMALL_SYNTH) == 4
         assert "--group" in capsys.readouterr().err
         assert not (out / "evaluation.json").exists()
+
+
+def test_id_that_needs_quoting_survives_every_command(tmp_path, extracted):
+    data = tmp_path / "data"
+    shutil.copytree(extracted / "synthetic_data", data)
+    for path in data.glob("synth000_*.csv"):
+        path.rename(path.with_name(path.name.replace("synth000", "synth,000")))
+    attributes = data / "attributes.csv"
+    attributes.write_text(attributes.read_text().replace("\nsynth000,", '\n"synth,000",'))
+    inputs = ("--out", str(tmp_path / "o"), "--series-dir", str(data),
+              "--attributes", str(attributes), "--start", "1994-01-01",
+              "--end", "1996-12-31", "--workers", "1")
+    assert run("extract", *inputs) == 0
+    assert run("correlate", *inputs) == 0
+    assert run("crossval", *inputs, "--group", "STP", "--trees", "2", "--folds", "4") == 0
+    for name, id_column in (("features.csv", 0), ("pred_vs_obs.csv", 1)):
+        with open(tmp_path / "o" / name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows)
+        assert "synth,000" in {row[id_column] for row in rows}
 
 
 class TestImportance:

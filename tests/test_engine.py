@@ -275,9 +275,13 @@ class TestExtractionProperties:
 class TestFeatureTableIO:
     def test_round_trip_bytes(self, rng, tmp_path):
         rows, _ = extract_batch(_batch_tasks(2))
+        quoted = {"c00": "synth,000", "c01": 'a"b'}  # ids that CSV must quote
+        rows += [FeatureRow(quoted[r.catchment_id], r.variable, r.features) for r in rows]
         path = tmp_path / "features.csv"
         write_feature_table(path, rows)
         reread = read_feature_table(path)
+        assert [(r.catchment_id, r.variable) for r in reread] == \
+            [(r.catchment_id, r.variable) for r in rows]
         second = tmp_path / "again.csv"
         write_feature_table(second, reread)
         assert path.read_bytes() == second.read_bytes()

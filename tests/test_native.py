@@ -41,6 +41,14 @@ def test_edited_source_never_served_the_old_build(tmp_path, edited):
     assert native.load(sources, cache).descend_forest is not None
 
 
+def test_cached_build_prunes_stale_libraries(tmp_path):
+    sources, cache = _source_copies(tmp_path), tmp_path / "cache"
+    target = native.build(sources, cache)
+    (cache / "_tree-0123.so").write_bytes(b"an older layout's build")
+    assert native.build(sources, cache) == target
+    assert list(cache.iterdir()) == [target]
+
+
 # A compiler wrapper that first writes a partial output, then compiles slowly:
 # a loader that compiled straight into the cache's final name would let the
 # second process load the partial file.

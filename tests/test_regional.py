@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -33,7 +34,6 @@ from flowregion.regional import (
     write_importance,
     write_pred_vs_obs,
     write_summaries,
-    read_evaluation,
 )
 
 INTEGER_IDX = [FEATURE_NAMES.index(n)
@@ -504,7 +504,7 @@ class TestEvaluateAll:
         path = tmp_path / "evaluation.json"
         write_evaluation(path, report)
         assert "NaN" not in path.read_text()
-        payload = read_evaluation(path)
+        payload = json.loads(path.read_text())
         assert payload["relative_scores"][ti] == [None, None]
         other = 1 if ti == 0 else 0
         assert payload["relative_scores"][other] == report.relative_scores[other].tolist()
@@ -602,7 +602,7 @@ class TestWriters:
                               groups=("S", "P", "STP"))
         path = tmp_path / "evaluation.json"
         write_evaluation(path, report)
-        payload = read_evaluation(path)
+        payload = json.loads(path.read_text())
         assert np.asarray(payload["rmse"]).shape == (28, 3)
         np.testing.assert_array_equal(np.asarray(payload["rmse"]), report.rmse)
         write_evaluation(tmp_path / "again.json", report)
