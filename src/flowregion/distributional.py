@@ -15,6 +15,9 @@ _EXACT_FIT = 1e-20
 #: it, is below this share of its own length lies in their span.
 _DEPENDENT = 1e-10
 
+#: flat_spots cuts the range of the series into this many equal-width bins.
+_FLAT_SPOT_BINS = 10
+
 
 def std1st_der(x: np.ndarray) -> float:
     """Sample standard deviation of the first-order differenced series."""
@@ -35,19 +38,20 @@ def crossing_points(x: np.ndarray) -> int:
     return int(np.count_nonzero(below[1:] != below[:-1]))
 
 
-def flat_spots(x: np.ndarray, bins: int = 10) -> int:
+def flat_spots(x: np.ndarray) -> int:
     """Longest run of values falling in the same decile-style bin.
 
-    The range [min, max] is cut into ``bins`` equal-width intervals, the top
-    interval closed at the maximum, and the maximum run length of identical
-    bin labels is returned.
+    The range [min, max] is cut into :data:`_FLAT_SPOT_BINS` equal-width
+    intervals, the top interval closed at the maximum, and the maximum run
+    length of identical bin labels is returned.
     """
     if x.size < 10:
         raise TooShort("flat_spots needs at least ten points")
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         raise DegenerateRange("flat_spots undefined when max(x) == min(x)")
-    labels = np.minimum((x - lo) * (bins / (hi - lo)), bins - 1).astype(np.int64)
+    labels = np.minimum((x - lo) * (_FLAT_SPOT_BINS / (hi - lo)),
+                        _FLAT_SPOT_BINS - 1).astype(np.int64)
     changes = np.flatnonzero(labels[1:] != labels[:-1])
     edges = np.concatenate([[-1], changes, [x.size - 1]])
     return int(np.diff(edges).max())

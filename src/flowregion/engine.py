@@ -30,6 +30,7 @@ from .errors import (
     KernelBuildError,
     NonFinite,
     NonIntegral,
+    ParseError,
 )
 from .series import TimeSeries, standardize, validate
 
@@ -191,7 +192,8 @@ def parallel_map(fn, items, workers: int, shared=None) -> list:
     order of ``items``, so they do not depend on the worker count.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))  # the pool forks all its workers at once
+    if workers <= 1:
         return [fn(shared, item) for item in items]
     native.kernel()  # workers inherit it; a failed build stops here, before any fork
     # A chunk size that divides each worker's even share of the items gives no
@@ -295,13 +297,26 @@ def write_feature_table(path, rows: list[FeatureRow]) -> None:
 
 
 def read_feature_table(path) -> list[FeatureRow]:
-    """Parse a feature table written by :func:`write_feature_table`."""
+    """Parse a feature table written by :func:`write_feature_table`.
+
+    Blank rows are skipped. A wrong header, a row without 30 fields or a value
+    that is not a number raises :class:`ParseError` naming ``<path>:<line>``.
+    """
+    header = ["catchment_id", "variable", *FEATURE_NAMES]
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != ["catchment_id", "variable", *FEATURE_NAMES]:
-            raise ValueError(f"unexpected feature table header in {path}")
-        return [
-            FeatureRow(catchment_id=parts[0], variable=parts[1],
-                       features=FeatureVector(np.array([float(v) for v in parts[2:]])))
-            for parts in reader
-        ]
+        if next(reader, None) != header:
+            raise ParseError(f"{path}:1: unexpected feature table header")
+        for parts in reader:
+            if not parts:
+                continue
+            if len(parts) != len(header):
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                 f"fields, got {len(parts)}")
+            try:
+                values = np.array([float(v) for v in parts[2:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+            rows.append(FeatureRow(parts[0], parts[1], FeatureVector(values)))
+    return rows

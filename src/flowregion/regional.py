@@ -1,10 +1,12 @@
 """Regionalization analyses: correlation screening, cross-validated prediction,
 importance rankings and feature summaries over catchments.
 
-Predictor groups combine three column blocks: S = the 19 static attributes,
-T = the 28 temperature features, P = the 28 precipitation features. The seven
-groups S, T, P, ST, SP, TP, STP are evaluated against each of the 28
-streamflow features under a shared k-fold partition, with pooled RMSE.
+Every analysis reads one catchments x 28 block per variable. Predictor groups
+combine three column blocks: S = the 19 static attributes, T = the temperature
+block, P = the precipitation block; the targets are the columns of the
+streamflow block. The seven groups S, T, P, ST, SP, TP, STP are evaluated
+against each of the 28 streamflow features under a shared k-fold partition,
+with pooled RMSE.
 """
 
 from __future__ import annotations
@@ -33,52 +35,42 @@ logger = logging.getLogger(__name__)
 #: Canonical group order; also the rank tie-break order.
 GROUP_NAMES = ("S", "T", "P", "ST", "SP", "TP", "STP")
 
-_BLOCKS = {"S": "static", "T": "temperature", "P": "precipitation"}
-
 TEMPERATURE_PREDICTORS = tuple(f"temperature_{f}" for f in FEATURE_NAMES)
 PRECIPITATION_PREDICTORS = tuple(f"precipitation_{f}" for f in FEATURE_NAMES)
 
+_BLOCKS = {"S": STATIC_ATTRIBUTES, "T": TEMPERATURE_PREDICTORS,
+           "P": PRECIPITATION_PREDICTORS}
+
 #: All 75 potential predictors in canonical order.
 ALL_PREDICTORS = STATIC_ATTRIBUTES + TEMPERATURE_PREDICTORS + PRECIPITATION_PREDICTORS
+
+_PREDICTOR_INDEX = {name: i for i, name in enumerate(ALL_PREDICTORS)}
 
 
 def group_columns(group: str) -> list[str]:
     """Predictor column names of one group, in canonical order."""
     if group not in GROUP_NAMES:
         raise ValueError(f"unknown predictor group {group!r}")
-    cols: list[str] = []
-    for letter in group:
-        block = _BLOCKS[letter]
-        if block == "static":
-            cols.extend(STATIC_ATTRIBUTES)
-        elif block == "temperature":
-            cols.extend(TEMPERATURE_PREDICTORS)
-        else:
-            cols.extend(PRECIPITATION_PREDICTORS)
-    return cols
+    return [col for letter in group for col in _BLOCKS[letter]]
+
+
+def _feature_block(records: list[CatchmentRecord], variable: str) -> np.ndarray:
+    """The catchments x 28 features of one variable."""
+    return np.array([r.features(variable).values for r in records])
 
 
 def predictor_matrix(records: list[CatchmentRecord], columns: list[str]) -> np.ndarray:
     """Assemble the catchments x predictors matrix for the given columns."""
-    rows = np.empty((len(records), len(columns)))
-    blocks: dict[str, np.ndarray] = {}  # variable -> catchments x 28 features
-    for j, col in enumerate(columns):
-        if col in STATIC_ATTRIBUTES:
-            rows[:, j] = [r.static[col] for r in records]
-        else:
-            variable, _, feature = col.partition("_")
-            if variable not in blocks:
-                blocks[variable] = np.array(
-                    [r.features(variable).values for r in records]
-                ).reshape(len(records), len(FEATURE_NAMES))
-            rows[:, j] = blocks[variable][:, FEATURE_NAMES.index(feature)]
-    return rows
+    static = np.array([[r.static[a] for a in STATIC_ATTRIBUTES] for r in records])
+    full = np.hstack([static, _feature_block(records, "temperature"),
+                      _feature_block(records, "precipitation")])
+    return full[:, [_PREDICTOR_INDEX[c] for c in columns]]
 
 
 def target_vector(records: list[CatchmentRecord], feature: str) -> np.ndarray:
     if feature not in FEATURE_NAMES:
         raise ValueError(f"unknown streamflow feature {feature!r}")
-    return np.array([r.streamflow[feature] for r in records])
+    return _feature_block(records, "streamflow")[:, FEATURE_NAMES.index(feature)]
 
 
 # -- correlation analysis ----------------------------------------------------
@@ -136,7 +128,7 @@ def correlation_matrix(records: list[CatchmentRecord]) -> CorrelationMatrix:
     if len(records) < 3:
         raise LengthMismatch("need at least three catchments")
     preds = predictor_matrix(records, list(ALL_PREDICTORS))
-    targets = np.column_stack([target_vector(records, f) for f in FEATURE_NAMES])
+    targets = _feature_block(records, "streamflow")
     # each column is ranked once; a constant column (None) leaves NaN entries
     pred_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in preds.T]
     target_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in targets.T]
@@ -252,11 +244,10 @@ def _cv_job(shared, pair):
     records, params, seed, folds, design = shared
     target, group = pair
     try:
-        result = cross_validate(records, target, group, params=params,
-                                seed=seed, folds=folds, design=design)
+        return cross_validate(records, target, group, params=params,
+                              seed=seed, folds=folds, design=design)
     except FlowRegionError as exc:
         raise type(exc)(f"({target}, {group}): {exc}") from exc
-    return target, group, result
 
 
 def evaluate_all(
@@ -291,16 +282,10 @@ def evaluate_all(
     outcomes = parallel_map(_cv_job, pairs, workers,
                             shared=(records, params, seed, folds, _full_design(records)))
 
-    scores = np.empty((len(FEATURE_NAMES), len(groups)))
+    scores = np.array([r.rmse for r in outcomes]).reshape(len(FEATURE_NAMES), len(groups))
     prediction_group = "STP" if "STP" in groups else None
-    predicted: dict[str, np.ndarray] = {}
-    by_pair = {(t, g): r for t, g, r in outcomes}
-    for ti, target in enumerate(FEATURE_NAMES):
-        for gi, group in enumerate(groups):
-            result = by_pair[(target, group)]
-            scores[ti, gi] = result.rmse
-            if group == prediction_group:
-                predicted[target] = result.predictions
+    predicted = {target: r.predictions for (target, group), r in zip(pairs, outcomes)
+                 if group == prediction_group}
 
     ranks = np.empty_like(scores, dtype=np.int64)
     for ti in range(scores.shape[0]):
@@ -315,7 +300,7 @@ def evaluate_all(
         np.divide(100.0 * (static - scores), static, out=relative,
                   where=static != 0.0)
 
-    observed = {t: target_vector(records, t) for t in FEATURE_NAMES}
+    observed = dict(zip(FEATURE_NAMES, _feature_block(records, "streamflow").T))
     return EvaluationReport(
         targets=list(FEATURE_NAMES),
         groups=list(groups),
@@ -334,8 +319,7 @@ def _importance_job(shared, target):
     records, design, params, seed = shared
     data = replace(design, y=target_vector(records, target))
     model = fit(data, params, seed=child_seed(seed, "imp", target))
-    report = permutation_importance(model, data, seed=child_seed(seed, "perm", target))
-    return target, report
+    return permutation_importance(model, data, seed=child_seed(seed, "perm", target))
 
 
 def _full_design(records: list[CatchmentRecord]) -> DesignMatrix:
@@ -354,8 +338,9 @@ def importance_all(
 ) -> dict[str, ImportanceReport]:
     """Permutation importance of all 75 predictors for each streamflow feature."""
     # one predictor matrix and one ranking serve every target
-    return dict(parallel_map(_importance_job, FEATURE_NAMES, workers,
-                             shared=(records, _full_design(records), params, seed)))
+    reports = parallel_map(_importance_job, FEATURE_NAMES, workers,
+                           shared=(records, _full_design(records), params, seed))
+    return dict(zip(FEATURE_NAMES, reports))
 
 
 # -- distribution summaries ---------------------------------------------------
@@ -378,11 +363,7 @@ def feature_summary(records: list[CatchmentRecord]) -> list[SummaryRow]:
         raise LengthMismatch("need at least one record")
     rows = []
     for variable in VARIABLE_KINDS:
-        matrix = np.array(
-            [[r.features(variable)[f] for f in FEATURE_NAMES] for r in records]
-        )
-        for j, feature in enumerate(FEATURE_NAMES):
-            col = matrix[:, j]
+        for feature, col in zip(FEATURE_NAMES, _feature_block(records, variable).T):
             q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75])
             rows.append(SummaryRow(
                 variable=variable, feature=feature,

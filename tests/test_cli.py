@@ -277,6 +277,25 @@ class TestFeatureTableReuse:
         assert len(loads) == 2
         assert (out / cli.FINGERPRINT_FILE).exists()
 
+    def test_malformed_reused_table_exits_2(self, tmp_path, inputs, loads, capsys):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        assert run("correlate", "--out", str(out), *inputs) == 0
+        before = (out / "correlations.csv").read_bytes()
+        table = out / "features.csv"
+        with open(table, "a", encoding="utf-8") as fh:
+            fh.write("\n")  # a blank row is skipped
+        (out / "correlations.csv").unlink()
+        assert run("correlate", "--out", str(out), *inputs) == 0
+        assert (out / "correlations.csv").read_bytes() == before
+        lines = table.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("correlate", "--out", str(out), *inputs) == 2
+        assert "features.csv:5: expected 30 fields" in capsys.readouterr().err
+        assert len(loads) == 1
+
 
 COMMANDS = ("extract", "correlate", "importance", "crossval", "report")
 OUTPUT_FILES = ("features.csv", "exclusions.csv", "correlations.csv",

@@ -16,7 +16,7 @@ from flowregion.engine import (
     write_feature_table,
 )
 from flowregion import distributional, engine
-from flowregion.errors import ConfigError, ExtractionFailed, NonFinite
+from flowregion.errors import ConfigError, ExtractionFailed, NonFinite, ParseError
 from flowregion.series import TimeSeries
 
 from conftest import ar1, daily_series, sine, white_noise
@@ -219,6 +219,29 @@ class TestExtractBatch:
             np.testing.assert_array_equal(a.features.values, b.features.values)
 
 
+def test_pool_starts_no_more_workers_than_items(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "_worker_job", None)
+    assert engine.parallel_map(pow, [2, 3, 4], 16, shared=10) == [100, 1000, 10000]
+    assert started == [3]
+
+
 DAYS = 3650
 DAY = np.arange(DAYS)
 
@@ -308,5 +331,22 @@ class TestFeatureTableIO:
     def test_header_check(self, tmp_path):
         path = tmp_path / "bogus.csv"
         path.write_text("nope\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="bogus.csv:1: "):
+            read_feature_table(path)
+
+    def test_blank_row_skipped_and_short_row_named(self, tmp_path):
+        rows, _ = extract_batch(_batch_tasks(1))
+        path = tmp_path / "features.csv"
+        write_feature_table(path, rows)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n")
+        assert [(r.catchment_id, r.variable) for r in read_feature_table(path)] == \
+            [(r.catchment_id, r.variable) for r in rows]
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"features\.csv:3: expected 30 fields, got 29"):
+            read_feature_table(path)
+        lines[2] += ",x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"features\.csv:3: could not convert"):
             read_feature_table(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowregion.dataio import STATIC_ATTRIBUTES, CatchmentRecord
+from flowregion.dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord
 from flowregion.engine import FEATURE_NAMES, FeatureVector
 from flowregion.errors import BadK, ConstantVector, DegenerateTarget, LengthMismatch
 from flowregion import regional
@@ -62,6 +62,14 @@ def synthetic_records(n, seed=0, link=None):
         records.append(CatchmentRecord(f"c{i:03d}", static, temperature,
                                        precipitation, streamflow))
     return records
+
+
+def value_of(record, column):
+    """One predictor value read by name: a static attribute or ``<variable>_<feature>``."""
+    if column in STATIC_ATTRIBUTES:
+        return record.static[column]
+    variable, feature = column.split("_", 1)
+    return record.features(variable)[feature]
 
 
 def brute_force_spearman(x, y):
@@ -171,6 +179,21 @@ class TestGroups:
         assert X[2, 0] == records[2].static["log_elev_mean"]
         t_col = group_columns("STP").index("temperature_x_acf1")
         assert X[3, t_col] == records[3].temperature["x_acf1"]
+
+    @pytest.mark.parametrize("group", GROUP_NAMES)
+    def test_matrix_matches_per_value_reference(self, group):
+        records = synthetic_records(9, seed=7)
+        columns = group_columns(group)
+        reference = np.array([[value_of(r, c) for c in columns] for r in records])
+        X = predictor_matrix(records, columns)
+        assert X.shape == reference.shape
+        assert X.tobytes() == reference.tobytes()
+
+    def test_target_vectors_match_per_value_reference(self):
+        records = synthetic_records(9, seed=8)
+        for feature in FEATURE_NAMES:
+            reference = np.array([r.features("streamflow")[feature] for r in records])
+            assert target_vector(records, feature).tobytes() == reference.tobytes(), feature
 
 
 class TestCorrelationMatrix:
@@ -579,6 +602,18 @@ class TestFeatureSummary:
         assert row.median == pytest.approx(interpolate(0.5), abs=1e-12)
         assert row.q3 == pytest.approx(interpolate(0.75), abs=1e-12)
         assert row.minimum == col[0] and row.maximum == col[-1]
+
+    def test_every_row_matches_per_value_reference(self):
+        records = synthetic_records(13, seed=25)
+        rows = feature_summary(records)
+        assert [(r.variable, r.feature) for r in rows] == \
+            [(v, f) for v in VARIABLE_KINDS for f in FEATURE_NAMES]
+        for row in rows:
+            col = np.array([r.features(row.variable)[row.feature] for r in records])
+            q1, median, q3 = np.quantile(col, [0.25, 0.5, 0.75])
+            expected = np.array([col.min(), q1, median, q3, col.max(), col.mean()])
+            got = np.array([row.minimum, row.q1, row.median, row.q3, row.maximum, row.mean])
+            assert got.tobytes() == expected.tobytes(), (row.variable, row.feature)
 
 
 class TestWriters:
