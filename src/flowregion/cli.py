@@ -27,7 +27,14 @@ import sys
 from pathlib import Path
 
 from . import synthetic
-from .dataio import SERIES_VARIABLES, VARIABLE_KINDS, IngestConfig, assemble_rows, read_attributes
+from .dataio import (
+    SERIES_VARIABLES,
+    VARIABLE_KINDS,
+    IngestConfig,
+    assemble_rows,
+    read_attributes,
+    series_path,
+)
 from .dataio import load_dataset as _load_dataset
 from .decomposition import PERIODIC
 from .engine import FeatureConfig, FeatureRow, read_feature_table, write_feature_table, write_table
@@ -195,13 +202,11 @@ def _resolve_inputs(cfg: RunConfig) -> RunConfig:
     if not cfg.synthetic:
         return cfg
     series_dir = cfg.series_dir or cfg.output_dir / "synthetic_data"
-    spec = _synthetic_spec(cfg)
+    start, end = synthetic.window(_synthetic_spec(cfg))
     return dataclasses.replace(
         cfg, series_dir=series_dir,
         attributes_file=cfg.attributes_file or series_dir / "attributes.csv",
-        ingest=dataclasses.replace(
-            cfg.ingest, start=datetime.date(spec.start_year, 1, 1),
-            end=datetime.date(spec.start_year + spec.n_years - 1, 12, 31)),
+        ingest=dataclasses.replace(cfg.ingest, start=start, end=end),
     )
 
 
@@ -219,7 +224,7 @@ def _fingerprint(cfg: RunConfig) -> str:
     digest = hashlib.sha256(Path(cfg.attributes_file).read_bytes())
     for cid in sorted(read_attributes(cfg.attributes_file)):
         for variable in SERIES_VARIABLES:
-            path = Path(cfg.series_dir) / f"{cid}_{variable}.csv"
+            path = series_path(cfg.series_dir, cid, variable)
             digest.update(f"\0{path.name}\0".encode())
             if path.exists():
                 digest.update(path.read_bytes())

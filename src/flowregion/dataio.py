@@ -1,21 +1,23 @@
 """Dataset ingestion: daily series files plus the static-attributes table.
 
-Input layout: one delimited text file per (catchment, variable) named
-``<catchment_id>_<variable>.csv`` with header ``date,value`` and one
-``YYYY-MM-DD,<value>`` line per day (other ISO 8601 date forms such as
-``YYYYMMDD`` or week dates are rejected), plus one attributes file with a
-``catchment_id`` column and the 19 static attribute columns. Catchments whose
-series files are missing, malformed or short of complete coverage of the
-configured window are dropped with a logged reason.
+This module owns the dataset layout that ingestion, the synthetic generator
+and the CLI fingerprint share: :func:`series_path` names each series file and
+:func:`window_days` is the one calendar, which drops every Feb 29 so that
+every year holds 365 days.
 
-Feb 29 is always dropped, so every year holds 365 days. :class:`IngestConfig`
-raises :class:`ConfigError` when it is built with a bad value: a period below
-2, fewer than one worker, an unknown policy or a window that holds no day.
+Input layout: one delimited text file per (catchment, variable) at
+:func:`series_path` with header ``date,value`` and one ``YYYY-MM-DD,<value>``
+line per day (other ISO 8601 date forms such as ``YYYYMMDD`` or week dates
+are rejected), plus one attributes file with a ``catchment_id`` column and the
+19 static attribute columns. Catchments whose series files are missing,
+malformed or short of complete coverage of the configured window are dropped
+with a logged reason. :class:`IngestConfig` raises :class:`ConfigError` when
+it is built with a bad value: a period below 2, fewer than one worker, an
+unknown policy or a window that holds no day.
 """
 
 from __future__ import annotations
 
-import calendar
 import csv
 import ctypes
 import datetime
@@ -77,7 +79,7 @@ class IngestConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         check_policy(self.policy)
-        if not _window_offsets(self).size:
+        if not window_days(self.start, self.end)[1].any():
             raise ConfigError(f"the window {self.start} to {self.end} holds no day "
                               "once Feb 29 is dropped")
 
@@ -96,23 +98,18 @@ class CatchmentRecord:
         return getattr(self, variable)
 
 
-def _window_offsets(config: IngestConfig) -> np.ndarray:
-    """Day offsets from ``config.start`` of every calendar day of the window
-    but Feb 29."""
-    start = config.start.toordinal()
-    keep = np.ones(max(0, config.end.toordinal() - start + 1), dtype=bool)
-    for year in range(config.start.year, config.end.year + 1):
-        if calendar.isleap(year):
-            offset = datetime.date(year, 2, 29).toordinal() - start
-            if 0 <= offset < keep.size:
-                keep[offset] = False
-    return np.flatnonzero(keep)
+def window_days(start: datetime.date, end: datetime.date) -> tuple[np.ndarray, np.ndarray]:
+    """Every calendar day from ``start`` to ``end`` as ``datetime64[D]``, and
+    the mask of the days a series keeps: all but Feb 29."""
+    days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
+    month = days.astype("datetime64[M]")
+    feb29 = (month.astype(np.int64) % 12 == 1) & (days - month == np.timedelta64(28, "D"))
+    return days, ~feb29
 
 
-def expected_dates(config: IngestConfig) -> list[datetime.date]:
-    """Every calendar day of the window but Feb 29."""
-    return [config.start + datetime.timedelta(days=int(offset))
-            for offset in _window_offsets(config)]
+def series_path(series_dir, catchment_id: str, variable: str) -> Path:
+    """The file holding the ``variable`` series of ``catchment_id``."""
+    return Path(series_dir) / f"{catchment_id}_{variable}.csv"
 
 
 #: What :func:`read_series_file` returns: one row per data line, in file order.
@@ -251,20 +248,20 @@ def read_attributes(path, log_transform: bool = False) -> dict[str, dict[str, fl
     return out
 
 
-def _window_values(series: np.ndarray, config: IngestConfig, offsets: np.ndarray,
+def _window_values(series: np.ndarray, config: IngestConfig, keep: np.ndarray,
                    label: str) -> np.ndarray:
-    """The values of ``series`` on the window's days (``offsets``)."""
+    """The values of ``series`` on the window's days that ``keep`` marks."""
     position = series["day"] - config.start.toordinal()
-    inside = (position >= 0) & (position <= offsets[-1])
+    inside = (position >= 0) & (position < keep.size)
     position = position[inside]
-    present = np.zeros(offsets[-1] + 1, dtype=bool)
+    present = np.zeros(keep.size, dtype=bool)
     present[position] = True
-    missing = offsets.size - np.count_nonzero(present[offsets])
+    missing = np.count_nonzero(keep & ~present)
     if missing:
         raise IncompleteRecord(f"{label}: {missing} day(s) missing in the window")
-    values = np.empty(present.size)
+    values = np.empty(keep.size)
     values[position] = series["value"][inside]
-    values = values[offsets]
+    values = values[keep]
     if not np.isfinite(values).all():
         raise IncompleteRecord(f"{label}: non-finite values in the window")
     return values
@@ -276,16 +273,15 @@ def _load_catchment(shared, cid: str):
     Returns ``(error, results)``: the IncompleteRecord or ParseError that
     excludes the catchment, or its three ``engine._extract_task`` results.
     """
-    series_dir, config = shared
-    offsets = _window_offsets(config)
+    series_dir, config, keep = shared
     per_variable = {}
     try:
         for variable in SERIES_VARIABLES:
-            path = series_dir / f"{cid}_{variable}.csv"
+            path = series_path(series_dir, cid, variable)
             if not path.exists():
                 raise IncompleteRecord(f"missing series file {path}")
             per_variable[variable] = _window_values(
-                read_series_file(path), config, offsets, f"{cid}/{variable}")
+                read_series_file(path), config, keep, f"{cid}/{variable}")
     except (IncompleteRecord, ParseError) as exc:
         return exc, []
     values = {
@@ -315,7 +311,7 @@ def load_dataset(
     attributes = read_attributes(attributes_file, config.log_transform)
     ids = sorted(attributes)
     loaded = parallel_map(_load_catchment, ids, config.workers,
-                          shared=(Path(series_dir), config))
+                          shared=(series_dir, config, window_days(config.start, config.end)[1]))
     rows, exclusions = collect_results(
         [result for _, results in loaded for result in results], config.policy,
         failed=[(cid, error) for cid, (error, _) in zip(ids, loaded) if error is not None],

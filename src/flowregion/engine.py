@@ -210,14 +210,9 @@ def _extract_task(config, task):
     catchment_id, variable, series = task
     try:
         return catchment_id, variable, extract_features(series, config), None
-    except ExtractionFailed as exc:
-        cause = exc.cause if exc.cause is not None else exc
-        reason = f"{type(cause).__name__} in {exc.feature}: {cause}"
+    except ExtractionFailed as exc:  # a KernelBuildError passes: it aborts the batch
+        reason = f"{type(exc.cause).__name__} in {exc.feature}: {exc.cause}"
         return catchment_id, variable, None, reason
-    except KernelBuildError:
-        raise  # no series can be extracted: abort the batch under any policy
-    except FlowRegionError as exc:
-        return catchment_id, variable, None, f"{type(exc).__name__}: {exc}"
 
 
 def check_policy(policy: str) -> None:
@@ -299,11 +294,13 @@ def write_feature_table(path, rows: list[FeatureRow]) -> None:
 def read_feature_table(path) -> list[FeatureRow]:
     """Parse a feature table written by :func:`write_feature_table`.
 
-    Blank rows are skipped. A wrong header, a row without 30 fields or a value
-    that is not a number raises :class:`ParseError` naming ``<path>:<line>``.
+    Blank rows are skipped. A wrong header, a row without 30 fields, a value
+    that is not a number or a second row of one (catchment, variable) raises
+    :class:`ParseError` naming ``<path>:<line>``.
     """
     header = ["catchment_id", "variable", *FEATURE_NAMES]
     rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -318,5 +315,9 @@ def read_feature_table(path) -> list[FeatureRow]:
                 values = np.array([float(v) for v in parts[2:]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+            key = (parts[0], parts[1])
+            if key in seen:
+                raise ParseError(f"{path}:{reader.line_num}: duplicate row ({', '.join(key)})")
+            seen.add(key)
             rows.append(FeatureRow(parts[0], parts[1], FeatureVector(values)))
     return rows

@@ -8,6 +8,10 @@ noisy function of exactly those two measurements. The streamflow
 ``seasonal_strength`` feature is therefore recoverable from the precipitation
 ``entropy`` and ``x_acf10`` features, while the static attributes carry no
 signal at all.
+
+Each series covers the no-leap days of :func:`window` (Feb 29 repeats Feb 28)
+in the file layout that :mod:`flowregion.dataio` owns. ``SyntheticSpec.period``
+sets only the seasonal cycle, not the length of a series.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import STATIC_ATTRIBUTES
+from .dataio import STATIC_ATTRIBUTES, series_path, window_days
 from .dependence import acf, spectral_entropy
 from .engine import write_table
 from .seeding import substream
@@ -58,13 +62,13 @@ def _season(n, period, amplitude, phase=0.0):
     return amplitude * np.sin(2.0 * np.pi * t / period + phase)
 
 
-def catchment_series(rng, spec: SyntheticSpec) -> dict[str, np.ndarray]:
-    """One catchment's four daily series on the 365-day no-leap grid."""
-    n = spec.n_years * spec.period
+def catchment_series(rng, n: int, period: int) -> dict[str, np.ndarray]:
+    """One catchment's four daily series of ``n`` no-leap days, with a
+    seasonal cycle of ``period`` days."""
     phi_p = rng.uniform(0.2, 0.85)
     amp_p = rng.uniform(0.3, 2.0)
     phase_p = rng.normal(0.0, 0.05)
-    precipitation = 10.0 + _season(n, spec.period, amp_p, phase_p) + _ar1(rng, n, phi_p)
+    precipitation = 10.0 + _season(n, period, amp_p, phase_p) + _ar1(rng, n, phi_p)
 
     # planted link: the designated features are measured on the generated
     # precipitation series and drive the streamflow seasonal amplitude
@@ -77,12 +81,12 @@ def catchment_series(rng, spec: SyntheticSpec) -> dict[str, np.ndarray]:
                     + rng.normal(0.0, 0.04), 0.1, 3.0)
     phi_q = rng.uniform(0.2, 0.7)
     phase_q = rng.uniform(0.0, 2.0 * np.pi)
-    streamflow = 20.0 + _season(n, spec.period, amp_q, phase_q) + _ar1(rng, n, phi_q)
+    streamflow = 20.0 + _season(n, period, amp_q, phase_q) + _ar1(rng, n, phi_q)
 
     amp_t = rng.uniform(6.0, 12.0)
     temperature = (
         rng.uniform(2.0, 16.0)
-        + _season(n, spec.period, amp_t, rng.normal(0.0, 0.05))
+        + _season(n, period, amp_t, rng.normal(0.0, 0.05))
         + _ar1(rng, n, 0.7, sd=1.5)
     )
     diurnal = 4.0 + np.abs(rng.normal(0.0, 1.0, size=n))
@@ -120,26 +124,11 @@ def catchment_attributes(rng) -> dict[str, float]:
     }
 
 
-def _calendar(spec: SyntheticSpec) -> tuple[list[datetime.date], np.ndarray]:
-    """All calendar days of the window plus the no-leap grid index per day.
-
-    Feb 29 repeats the previous grid index, so leap days carry the Feb 28
-    value and ingestion can drop them without disturbing the 365-day cycle.
-    """
-    start = datetime.date(spec.start_year, 1, 1)
-    end = datetime.date(spec.start_year + spec.n_years - 1, 12, 31)
-    days = []
-    grid = []
-    cursor = -1
-    day = start
-    one = datetime.timedelta(days=1)
-    while day <= end:
-        if not (day.month == 2 and day.day == 29):
-            cursor += 1
-        days.append(day)
-        grid.append(cursor)
-        day += one
-    return days, np.asarray(grid)
+def window(spec: SyntheticSpec) -> tuple[datetime.date, datetime.date]:
+    """The first and the last day of the synthetic set: ``spec.n_years``
+    whole calendar years from ``spec.start_year``."""
+    return (datetime.date(spec.start_year, 1, 1),
+            datetime.date(spec.start_year + spec.n_years - 1, 12, 31))
 
 
 def generate(series_dir, attributes_file, seed: int = 7,
@@ -149,20 +138,21 @@ def generate(series_dir, attributes_file, seed: int = 7,
     series_dir = Path(series_dir)
     series_dir.mkdir(parents=True, exist_ok=True)
     Path(attributes_file).parent.mkdir(parents=True, exist_ok=True)
-    days, grid = _calendar(spec)
-    dates = [day.isoformat() + "," for day in days]
+    days, keep = window_days(*window(spec))
+    dates = [day.isoformat() + "," for day in days.tolist()]
+    grid = np.cumsum(keep) - 1  # Feb 29 repeats the Feb 28 value
+    n = int(np.count_nonzero(keep))
     ids = [f"synth{i:03d}" for i in range(spec.n_catchments)]
     attribute_rows = []
     for i, cid in enumerate(ids):
         rng = substream(seed, "catchment", i)
-        series = catchment_series(rng, spec)
+        series = catchment_series(rng, n, spec.period)
         attrs = catchment_attributes(rng)
         attribute_rows.append((cid, *(float(attrs[a]) for a in STATIC_ATTRIBUTES)))
         for variable, values in series.items():
-            path = series_dir / f"{cid}_{variable}.csv"
-            daily = values[grid]
+            path = series_path(series_dir, cid, variable)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("date,value\n")
-                fh.writelines(f"{date}{v!r}\n" for date, v in zip(dates, daily.tolist()))
+                fh.writelines(f"{date}{v!r}\n" for date, v in zip(dates, values[grid].tolist()))
     write_table(attributes_file, ("catchment_id", *STATIC_ATTRIBUTES), attribute_rows)
     return ids

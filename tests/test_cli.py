@@ -33,12 +33,21 @@ def extracted(tmp_path_factory):
 
 
 class TestExtract:
-    def test_outputs_exist(self, extracted):
-        features = (extracted / "features.csv").read_text().splitlines()
-        assert len(features) == 1 + N_SYNTH * 3
+    @pytest.mark.parametrize("options, n_catchments", [
+        ((), N_SYNTH),
+        # a 7-day cycle over three 365-day years: --period sets the cycle alone
+        (("--synthetic-catchments", "3", "--period", "7"), 3),
+    ], ids=["default", "period-7"])
+    def test_outputs_exist(self, extracted, tmp_path, options, n_catchments):
+        out = extracted
+        if options:
+            out = tmp_path / "o"
+            assert run("extract", "--out", str(out), *SMALL_SYNTH, *options) == 0
+        features = (out / "features.csv").read_text().splitlines()
+        assert len(features) == 1 + n_catchments * 3
         assert features[0].split(",")[:2] == ["catchment_id", "variable"]
-        assert (extracted / "exclusions.csv").exists()
-        assert (extracted / "config.json").exists()
+        assert (out / "exclusions.csv").read_text() == "catchment_id,variable,reason\n"
+        assert (out / "config.json").exists()
 
     def test_rerun_is_byte_identical(self, extracted, tmp_path):
         again = tmp_path / "again"
@@ -289,11 +298,16 @@ class TestFeatureTableReuse:
         assert run("correlate", "--out", str(out), *inputs) == 0
         assert (out / "correlations.csv").read_bytes() == before
         lines = table.read_text().splitlines()
-        lines[4] = lines[4].rsplit(",", 1)[0]
-        table.write_text("\n".join(lines) + "\n")
+        cut = lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]
+        table.write_text("\n".join(cut) + "\n")
         capsys.readouterr()
         assert run("correlate", "--out", str(out), *inputs) == 2
         assert "features.csv:5: expected 30 fields" in capsys.readouterr().err
+        table.write_text("\n".join(lines + [lines[3]]) + "\n")  # row 4 again
+        cid, variable = lines[3].split(",")[:2]
+        assert run("correlate", "--out", str(out), *inputs) == 2
+        assert (f"features.csv:{len(lines) + 1}: duplicate row ({cid}, {variable})"
+                in capsys.readouterr().err)
         assert len(loads) == 1
 
 

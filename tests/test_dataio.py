@@ -9,12 +9,12 @@ import pytest
 from flowregion import cli, dataio
 from flowregion.dataio import (
     IngestConfig,
-    expected_dates,
     load_dataset,
     read_attributes,
     read_series_file,
     STATIC_ATTRIBUTES,
     VARIABLE_KINDS,
+    window_days,
 )
 from flowregion.engine import extract_features
 from flowregion.errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
@@ -43,6 +43,12 @@ def attribute_line(cid, value=0.5):
     return cid + "," + ",".join(str(value) for _ in STATIC_ATTRIBUTES)
 
 
+def kept_days(cfg):
+    """The days of the window that every series file must hold."""
+    days, keep = window_days(cfg.start, cfg.end)
+    return days[keep].tolist()
+
+
 def small_config(**overrides):
     base = dict(
         start=datetime.date(1999, 1, 1),
@@ -60,7 +66,7 @@ def dataset(tmp_path):
     series_dir = tmp_path / "series"
     series_dir.mkdir()
     cfg = small_config()
-    days = expected_dates(cfg)
+    days = kept_days(cfg)
     attr_lines = ["catchment_id," + ",".join(STATIC_ATTRIBUTES)]
     per_catchment = {}
     calendar_start = datetime.date(1999, 1, 1)
@@ -107,16 +113,40 @@ def dataset(tmp_path):
     return series_dir, attributes, per_catchment
 
 
-class TestExpectedDates:
+def calendar_oracle(start, end):
+    """Every day from ``start`` to ``end`` and whether it is kept, one day at a time."""
+    days = []
+    day = start
+    while day <= end:
+        days.append(day)
+        day += datetime.timedelta(days=1)
+    return days, [(day.month, day.day) != (2, 29) for day in days]
+
+
+class TestWindowDays:
     def test_full_window_calendar_oracle(self):
         cfg = IngestConfig()
-        days = expected_dates(cfg)
-        assert len(days) == 34 * 365 == 12410
+        days = window_days(cfg.start, cfg.end)[0]
+        assert days.size == 34 * 365 + 9  # 1980, 1984, ..., 2012 are leap years
+        assert len(kept_days(cfg)) == 34 * 365 == 12410
 
     def test_no_feb_29(self):
-        days = expected_dates(small_config())
+        days = kept_days(small_config())
         assert datetime.date(2000, 2, 29) not in days
         assert len(days) == 3 * 365
+
+    @pytest.mark.parametrize("start, end", [
+        ((1999, 1, 1), (2001, 12, 31)),
+        ((1899, 12, 1), (1900, 3, 31)),  # 1900 is not a leap year
+        ((1969, 2, 1), (1972, 3, 1)),  # across 1970, where datetime64 counts from
+        ((2000, 2, 29), (2004, 2, 29)),
+        ((2000, 2, 29), (2000, 2, 29)),
+        ((2000, 1, 2), (2000, 1, 1)),
+    ])
+    def test_matches_day_by_day_loop(self, start, end):
+        start, end = datetime.date(*start), datetime.date(*end)
+        days, keep = window_days(start, end)
+        assert (days.tolist(), keep.tolist()) == calendar_oracle(start, end)
 
 
 class TestIngestConfig:
@@ -247,9 +277,9 @@ class TestReadSeriesFile:
         assert parsed["value"].tobytes() == np.array(list(reference.values())).tobytes()
         cfg = small_config()
         new = outcome(lambda: dataio._window_values(
-            read_series_file(path), cfg, dataio._window_offsets(cfg), "c/streamflow"))
+            read_series_file(path), cfg, window_days(cfg.start, cfg.end)[1], "c/streamflow"))
         old = outcome(lambda: oracle_window_values(
-            oracle_read_series_file(path), expected_dates(cfg), "c/streamflow"))
+            oracle_read_series_file(path), kept_days(cfg), "c/streamflow"))
         assert new == old
         if name.endswith("_inside"):
             assert old == ("IncompleteRecord", "c/streamflow: non-finite values in the window")
@@ -409,7 +439,7 @@ class TestLoadDataset:
     def test_extraction_failure_excludes_catchment(self, dataset):
         series_dir, attributes, _ = dataset
         cfg = small_config()
-        days = expected_dates(cfg)
+        days = kept_days(cfg)
         constant = ["date,value"] + [f"{d.isoformat()},3.0" for d in days]
         (series_dir / "alpha_precipitation.csv").write_text("\n".join(constant) + "\n")
         records, exclusions = load_dataset(series_dir, attributes, cfg)
@@ -445,7 +475,7 @@ def troubled(dataset):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:300] + lines[302:]) + "\n")
     replace_line(series_dir / "delta_precipitation.csv", 10, "1999-01-10;4.2")
-    days = expected_dates(small_config())
+    days = kept_days(small_config())
     constant = ["date,value"] + [f"{d.isoformat()},3.0" for d in days]
     (series_dir / "epsilon_precipitation.csv").write_text("\n".join(constant) + "\n")
     (series_dir / "gamma_tmin.csv").unlink()

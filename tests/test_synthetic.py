@@ -1,6 +1,8 @@
+import datetime
 import hashlib
 
 import numpy as np
+import pytest
 
 from flowregion.dataio import IngestConfig, load_dataset
 from flowregion.seeding import substream
@@ -8,9 +10,9 @@ from flowregion.synthetic import (
     PLANTED_PREDICTORS,
     PLANTED_TARGET,
     SyntheticSpec,
-    _calendar,
     catchment_series,
     generate,
+    window,
 )
 
 
@@ -83,12 +85,28 @@ def test_written_files_match_golden(tmp_path):
                    ("tmin", "tmax", "precipitation")) == GOLDEN_SYNTHETIC_SHA256
 
 
-def test_series_files_are_formatted_day_by_day(tmp_path):
-    spec = SyntheticSpec(n_catchments=2, start_year=1999, n_years=3)
+def calendar_oracle(first_year, n_years):
+    """Every calendar day of the years plus its no-leap grid index, from a
+    day-by-day loop: Feb 29 repeats the Feb 28 index."""
+    day = datetime.date(first_year, 1, 1)
+    days, grid, cursor = [], [], -1
+    while day.year < first_year + n_years:
+        if (day.month, day.day) != (2, 29):
+            cursor += 1
+        days.append(day)
+        grid.append(cursor)
+        day += datetime.timedelta(days=1)
+    return days, np.asarray(grid)
+
+
+@pytest.mark.parametrize("period", [365, 7])
+def test_series_files_are_formatted_day_by_day(tmp_path, period):
+    spec = SyntheticSpec(n_catchments=2, start_year=1999, n_years=3, period=period)
     generate(tmp_path / "series", tmp_path / "attributes.csv", seed=5, spec=spec)
-    days, grid = _calendar(spec)
+    days, grid = calendar_oracle(1999, 3)
+    assert window(spec) == (days[0], days[-1])
     for i in range(spec.n_catchments):
-        series = catchment_series(substream(5, "catchment", i), spec)
+        series = catchment_series(substream(5, "catchment", i), 3 * 365, period)
         for variable, values in series.items():
             expected = "date,value\n" + "".join(
                 f"{day.isoformat()},{float(v)!r}\n" for day, v in zip(days, values[grid]))
