@@ -7,7 +7,10 @@
  * use numpy's pairwise summation, the left sums are a sequential cumulative
  * sum, and the gain multiplies by precomputed reciprocals of the child sizes.
  * Build without -ffast-math and with -ffp-contract=off, so that no step is
- * reassociated or fused.
+ * reassociated or fused. The split search computes the gain at every sorted
+ * position but lets only split positions (between distinct keys) compete,
+ * as numpy's argmax over them: the first NaN gain at a split position wins
+ * and ends the node's search, else the first strict maximum wins.
  */
 
 #include <math.h>
@@ -15,10 +18,17 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* nodes up to this size are insertion-sorted; larger ones are radix-sorted */
-#define INSERTION_MAX 32
+/* nodes up to 2^SMALL_BITS rows are sorted by counting, larger ones by radix */
+#define SMALL_BITS 5
+#define SMALL_MAX (1 << SMALL_BITS)
 /* widest radix digit: 2^11 buckets */
 #define DIGIT_BITS 11
+
+typedef int32_t v4si __attribute__((vector_size(16)));
+
+/* added to the gain at a position that is (1) or is not (0) a split
+ * position: a NaN never compares greater */
+static const double skip_gain[2] = {NAN, 0.};
 
 /* numpy's pairwise summation of a contiguous float64 array */
 static double pairwise_sum(const double *a, int64_t n)
@@ -49,30 +59,53 @@ static double pairwise_sum(const double *a, int64_t n)
 
 /*
  * Sort m words (key << 32 | position) by key, stably: positions are unique
- * and ascending in the input, so equal keys keep their order. Keys are below
- * 2^bits. Returns whichever of a and tmp holds the result.
+ * and ascending in the input, so equal keys keep their order. Keys are at
+ * least low and below low + 2^bits. Returns whichever of a and tmp holds the
+ * result.
+ *
+ * A small node's word goes to the place given by the count of words below
+ * it, counted four at a time on (key - low) << SMALL_BITS | position: a
+ * fixed amount of work with no branch on the data, where an insertion sort
+ * mispredicts about once per word. Larger nodes, and small ones whose keys
+ * leave no room for the position in 31 bits, are radix-sorted with the pass
+ * count that touches the fewest words and buckets.
  */
-static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, int bits, int64_t *count)
+static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, uint32_t low, int bits,
+                            int64_t *count)
 {
-    if (m <= INSERTION_MAX) {
-        for (int64_t i = 1; i < m; i++) {
-            uint64_t w = a[i];
-            int64_t j = i;
-            for (; j > 0 && a[j - 1] > w; j--)
-                a[j] = a[j - 1];
-            a[j] = w;
+    if (m <= SMALL_MAX && bits <= 31 - SMALL_BITS) {
+        union {
+            v4si block[SMALL_MAX / 4];
+            int32_t key[SMALL_MAX];
+        } c;
+        int64_t blocks = (m + 3) / 4;
+        for (int64_t i = 0; i < 4 * blocks; i++)
+            c.key[i] = i < m ? (int32_t)(((a[i] >> 32) - low) << SMALL_BITS | (uint64_t)i)
+                             : INT32_MAX;
+        for (int64_t i = 0; i < m; i++) {
+            v4si key = {c.key[i], c.key[i], c.key[i], c.key[i]}, below = {0, 0, 0, 0};
+            for (int64_t b = 0; b < blocks; b++)
+                below -= c.block[b] < key;
+            tmp[below[0] + below[1] + below[2] + below[3]] = a[i];
         }
-        return a;
+        return tmp;
     }
     int passes = (bits + DIGIT_BITS - 1) / DIGIT_BITS;
     int width = passes ? (bits + passes - 1) / passes : 0;
+    for (int more = passes + 1; more <= bits; more++) {
+        int narrower = (bits + more - 1) / more;
+        if (more * (3 * m + ((int64_t)1 << narrower)) < passes * (3 * m + ((int64_t)1 << width))) {
+            passes = more;
+            width = narrower;
+        }
+    }
     for (int pass = 0; pass < passes; pass++) {
-        int shift = 32 + pass * width;
+        int shift = pass * width;
         int64_t buckets = (int64_t)1 << width;
         uint64_t mask = (uint64_t)buckets - 1;
         memset(count, 0, (size_t)buckets * sizeof *count);
         for (int64_t i = 0; i < m; i++)
-            count[(a[i] >> shift) & mask]++;
+            count[((a[i] >> 32) - low) >> shift & mask]++;
         int64_t sum = 0;
         for (int64_t b = 0; b < buckets; b++) {
             int64_t c = count[b];
@@ -80,7 +113,7 @@ static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, int bits, int
             sum += c;
         }
         for (int64_t i = 0; i < m; i++)
-            tmp[count[(a[i] >> shift) & mask]++] = a[i];
+            tmp[count[((a[i] >> 32) - low) >> shift & mask]++] = a[i];
         uint64_t *swap = a;
         a = tmp;
         tmp = swap;
@@ -93,14 +126,13 @@ struct workspace {
     int64_t *rows, *reordered, *count, *stack;
     double *ys, *inv;
     uint64_t *words;
-    uint32_t *keys;
     char *chosen, *drawn;
 };
 
 static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
 {
     size_t eight_byte = (size_t)(2 * n + ((int64_t)1 << DIGIT_BITS) + 3 * (n + 1) + n + (n + 1) + 3 * n);
-    char *block = malloc(eight_byte * 8 + (size_t)n * sizeof *w->keys + (size_t)(p + n));
+    char *block = malloc(eight_byte * 8 + (size_t)(p + n));
     if (!block)
         return NULL;
     w->rows = (int64_t *)block;
@@ -110,8 +142,7 @@ static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
     w->ys = (double *)(w->stack + 3 * (n + 1));
     w->inv = w->ys + n;
     w->words = (uint64_t *)(w->inv + n + 1);
-    w->keys = (uint32_t *)(w->words + 3 * n);
-    w->chosen = (char *)(w->keys + n);
+    w->chosen = (char *)(w->words + 3 * n);
     w->drawn = w->chosen + p;
     for (int64_t k = 1; k <= n; k++)
         w->inv[k] = 1.0 / (double)k;
@@ -131,14 +162,13 @@ static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
  */
 static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *ranks,
                          const double *y, int64_t n_rows, int64_t n, int64_t p,
-                         const int64_t *inbag, const int32_t *draws, int64_t n_draws,
+                         const int64_t *inbag, const int64_t *draws, int64_t n_draws,
                          int64_t n_cand, int64_t min_node_size, int64_t room,
                          int32_t *feature, double *threshold, int32_t *left,
                          int32_t *right, double *value)
 {
     int64_t *rows = w->rows, *stack = w->stack;
     double *ys = w->ys, *inv = w->inv;
-    uint32_t *keys = w->keys;
     char *chosen = w->chosen;
     for (int64_t i = 0; i < n; i++)
         rows[i] = inbag[i];
@@ -188,40 +218,52 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
             uint32_t kmin = UINT32_MAX, kmax = 0;
             for (int64_t i = 0; i < m; i++) {
                 uint32_t k = col[node_rows[i]];
-                keys[i] = k;
+                work[i] = (uint64_t)k << 32 | (uint64_t)i;
                 kmin = k < kmin ? k : kmin;
                 kmax = k > kmax ? k : kmax;
             }
-            for (int64_t i = 0; i < m; i++)
-                work[i] = (uint64_t)(keys[i] - kmin) << 32 | (uint64_t)i;
             int bits = 0;
             while (bits < 32 && (kmax - kmin) >> bits)
                 bits++;
-            uint64_t *sorted = sort_words(work, spare, m, bits, w->count);
+            uint64_t *sorted = sort_words(work, spare, m, kmin, bits, w->count);
             uint64_t *other = sorted == work ? spare : work;
 
-            double sl = 0.;
-            int improved = 0;
-            for (int64_t i = 0; i < last + 1; i++) {
+            /*
+             * The gain is computed at every position from first to last, but
+             * only split positions (whose key differs from the next) compete.
+             * Bootstrap copies and tied keys make a branch on either test
+             * unpredictable, so the candidate's best is kept by selects, and
+             * skip_gain turns the gain at any other position into a NaN.
+             * numpy's argmax rules hold: a NaN gain at a split position wins
+             * and ends the node's search, else the first strict maximum over
+             * the candidates in ascending order wins. A NaN gain inside a run
+             * of tied keys is ignored.
+             */
+            double sl = 0., bg = best_gain;
+            int64_t bi = -1;
+            for (int64_t i = 0; i < first; i++)
                 sl += ys[(uint32_t)sorted[i]];
-                if (i < first || sorted[i] >> 32 == sorted[i + 1] >> 32)
-                    continue;
+            for (int64_t i = first; i <= last; i++) {
+                sl += ys[(uint32_t)sorted[i]];
+                int split = sorted[i] >> 32 != sorted[i + 1] >> 32;
                 double sr = total - sl;
                 double gain = sl * sl * inv[i + 1] + sr * sr * inv[m - 1 - i];
-                /* numpy's argmax: the first NaN wins, else the first maximum */
-                if (gain > best_gain || gain != gain) {
-                    best_gain = gain;
-                    best_f = f;
-                    best_i = i;
-                    improved = 1;
-                    if (gain != gain) {
-                        nan_found = 1;
-                        break;
-                    }
+                if (__builtin_expect(gain != gain, 0) && split) {
+                    bg = gain;
+                    bi = i;
+                    nan_found = 1;
+                    break;
                 }
+                gain += skip_gain[split];
+                int better = gain > bg;
+                bi = better ? i : bi;
+                bg = better ? gain : bg;
             }
             /* the best order so far is kept; the other two buffers are scratch */
-            if (improved) {
+            if (bi >= 0) {
+                best_gain = bg;
+                best_f = f;
+                best_i = bi;
                 work = best;
                 best = sorted;
             } else {
@@ -284,7 +326,7 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
  */
 int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int64_t n_rows,
                     int64_t p, const int64_t *sizes, int64_t width, const int64_t *inbag,
-                    const int32_t *draws, int64_t n_cand, int64_t min_node_size, int64_t room,
+                    const int64_t *draws, int64_t n_cand, int64_t min_node_size, int64_t room,
                     int32_t *feature, double *threshold, int32_t *left, int32_t *right,
                     double *value, int64_t *node_start, int64_t *oob, int64_t *oob_start,
                     int64_t t0, int64_t t1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,11 @@ _BLOCKS = {"S": STATIC_ATTRIBUTES, "T": TEMPERATURE_PREDICTORS,
 #: All 75 potential predictors in canonical order.
 ALL_PREDICTORS = STATIC_ATTRIBUTES + TEMPERATURE_PREDICTORS + PRECIPITATION_PREDICTORS
 
-_PREDICTOR_INDEX = {name: i for i, name in enumerate(ALL_PREDICTORS)}
+#: the block letter of every predictor and its place in that block
+_PREDICTOR_PLACE = {name: (letter, j) for letter, names in _BLOCKS.items()
+                    for j, name in enumerate(names)}
+
+_static_values = operator.itemgetter(*STATIC_ATTRIBUTES)
 
 
 def group_columns(group: str) -> list[str]:
@@ -59,12 +64,23 @@ def _feature_block(records: list[CatchmentRecord], variable: str) -> np.ndarray:
     return np.array([r.features(variable).values for r in records])
 
 
+def _predictor_block(records: list[CatchmentRecord], letter: str) -> np.ndarray:
+    """The catchments x predictors block S, T or P."""
+    if letter == "S":
+        return np.array([_static_values(r.static) for r in records], dtype=np.float64)
+    return _feature_block(records, "temperature" if letter == "T" else "precipitation")
+
+
 def predictor_matrix(records: list[CatchmentRecord], columns: list[str]) -> np.ndarray:
-    """Assemble the catchments x predictors matrix for the given columns."""
-    static = np.array([[r.static[a] for a in STATIC_ATTRIBUTES] for r in records])
-    full = np.hstack([static, _feature_block(records, "temperature"),
-                      _feature_block(records, "precipitation")])
-    return full[:, [_PREDICTOR_INDEX[c] for c in columns]]
+    """Assemble the catchments x predictors matrix for the given columns,
+    from only the blocks they name."""
+    places = [_PREDICTOR_PLACE[c] for c in columns]
+    blocks = {letter: _predictor_block(records, letter)
+              for letter in dict.fromkeys(letter for letter, _ in places)}
+    X = np.empty((len(records), len(columns)), order="F")
+    for k, (letter, j) in enumerate(places):
+        X[:, k] = blocks[letter][:, j]
+    return X
 
 
 def target_vector(records: list[CatchmentRecord], feature: str) -> np.ndarray:

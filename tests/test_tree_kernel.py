@@ -99,6 +99,11 @@ ORACLE_CASES = [
     (511, 19, 1, None, "tied", "normal"),
     (511, 75, 1, 75, "duplicated", "zero_inflated"),
     (511, 47, 5, None, "normal", "tiny"),
+    # NaN gains inside runs of tied keys, which are not split positions
+    (60, 4, 1, 4, "tied", "overflowing"),
+    (90, 6, 2, None, "duplicated", "overflowing"),
+    (120, 5, 1, 5, "pairs", "overflowing"),
+    (460, 75, 5, None, "tied", "overflowing"),
 ]
 
 
