@@ -11,6 +11,15 @@
  * position but lets only split positions (between distinct keys) compete,
  * as numpy's argmax over them: the first NaN gain at a split position wins
  * and ends the node's search, else the first strict maximum wins.
+ *
+ * Every random draw of the forest is made here as numpy's Generator makes
+ * it from a PCG64 (O'Neill 2014, XSL-RR 128/64) seeded with the words of
+ * seed_states: a bootstrap sample as integers(0, n, size=n), by Lemire's
+ * bounded draw (Lemire 2019, ACM TOMACS 29(1):3), and permutation(m) as
+ * Generator.shuffle's swaps, by masked rejection. Only the 32-bit draws are
+ * reproduced, as every size here is below 2^32. No numpy RNG code runs, so
+ * the draws match numpy's only while numpy keeps these algorithms; the
+ * tests compare them with the installed numpy (last run: numpy 2.4.6).
  */
 
 #include <math.h>
@@ -121,9 +130,97 @@ static uint64_t *sort_words(uint64_t *a, uint64_t *tmp, int64_t m, uint32_t low,
     return a;
 }
 
+/* numpy's PCG64 state, with the half of a 64-bit draw that numpy's
+ * next_uint32 keeps for its next call; unsigned __int128 is a GCC and Clang
+ * extension */
+typedef unsigned __int128 uint128;
+
+#define PCG_MULT ((uint128)2549297995355413924u << 64 | 4865540595714422341u)
+
+struct pcg64 {
+    uint128 state, inc;
+    uint32_t half;
+    int has_half;
+};
+
+/* numpy's pcg64_set_seed: seed w0 * 2^64 + w1, stream w2 * 2^64 + w3 */
+static void pcg_seed(struct pcg64 *g, const uint64_t *words)
+{
+    g->inc = ((uint128)words[2] << 64 | words[3]) << 1 | 1;
+    g->state = g->inc;
+    g->state += (uint128)words[0] << 64 | words[1];
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has_half = 0;
+}
+
+static uint64_t next64(struct pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static uint32_t next32(struct pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
+    }
+    uint64_t x = next64(g);
+    g->half = (uint32_t)(x >> 32);
+    g->has_half = 1;
+    return (uint32_t)x;
+}
+
+/* numpy's buffered_bounded_lemire_uint32: a draw from [0, rng], rng < 2^32 - 1 */
+static uint32_t bounded(struct pcg64 *g, uint32_t rng)
+{
+    uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)next32(g) * excl;
+    if ((uint32_t)m < excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next32(g) * excl;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* numpy's Generator.permutation(m) for m < 2^32: arange(m), then a swap of
+ * each position i from m - 1 down to 1 with one drawn by random_interval(i),
+ * which draws under the smallest all-ones mask not below i until a draw is
+ * at most i. It draws from a copy of the generator, which the compiler can
+ * then keep in registers across the stores to `out`. */
+static void permutation(struct pcg64 *shared, int64_t m, int64_t *out)
+{
+    struct pcg64 local = *shared, *g = &local;
+    for (int64_t i = 0; i < m; i++)
+        out[i] = i;
+    for (int64_t i = m - 1; i >= 1; i--) {
+        uint32_t max = (uint32_t)i, mask = UINT32_MAX >> __builtin_clz(max), j;
+        while ((j = next32(g) & mask) > max)
+            ;
+        int64_t swap = out[j];
+        out[j] = out[i];
+        out[i] = swap;
+    }
+    *shared = local;
+}
+
+/* one permutation(m) per generator seeded from states[4c .. 4c + 4),
+ * c < k, into out[c * m .. (c + 1) * m) */
+void permutations(const uint64_t *states, int64_t k, int64_t m, int64_t *out)
+{
+    for (int64_t c = 0; c < k; c++) {
+        struct pcg64 g;
+        pcg_seed(&g, states + 4 * c);
+        permutation(&g, m, out + c * m);
+    }
+}
+
 /* scratch memory for growing trees on at most n rows of p predictors, in one block */
 struct workspace {
-    int64_t *rows, *reordered, *count, *stack;
+    int64_t *rows, *reordered, *count, *stack, *order;
     double *ys, *inv;
     uint64_t *words;
     char *chosen, *drawn;
@@ -131,7 +228,8 @@ struct workspace {
 
 static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
 {
-    size_t eight_byte = (size_t)(2 * n + ((int64_t)1 << DIGIT_BITS) + 3 * (n + 1) + n + (n + 1) + 3 * n);
+    size_t eight_byte = (size_t)(2 * n + ((int64_t)1 << DIGIT_BITS) + 3 * (n + 1) + p + n
+                                 + (n + 1) + 3 * n);
     char *block = malloc(eight_byte * 8 + (size_t)(p + n));
     if (!block)
         return NULL;
@@ -139,7 +237,8 @@ static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
     w->reordered = w->rows + n;
     w->count = w->reordered + n;
     w->stack = w->count + ((int64_t)1 << DIGIT_BITS);
-    w->ys = (double *)(w->stack + 3 * (n + 1));
+    w->order = w->stack + 3 * (n + 1);
+    w->ys = (double *)(w->order + p);
     w->inv = w->ys + n;
     w->words = (uint64_t *)(w->inv + n + 1);
     w->chosen = (char *)(w->words + 3 * n);
@@ -154,17 +253,16 @@ static void *alloc_workspace(struct workspace *w, int64_t n, int64_t p)
  * `inbag` (n draws of rows of the n_rows x p matrix X).
  *
  * ranks: p x n_rows keys whose order and equality within each column are
- *   those of X's values. draws: n_draws rows of p candidate orders, one
- *   consumed per node that tries to split; a node's candidates are the first
- *   n_cand entries of its row, scanned in ascending predictor order.
- * The node arrays have room for `room` nodes. Returns the node count, -1 if
- * the draws ran out, or -3 if the room ran out.
+ *   those of X's values. Each node that tries to split draws one
+ *   permutation(p) from g; its candidates are the first n_cand entries,
+ *   scanned in ascending predictor order.
+ * The node arrays have room for `room` nodes. Returns the node count, or -3
+ * if the room ran out.
  */
-static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *ranks,
-                         const double *y, int64_t n_rows, int64_t n, int64_t p,
-                         const int64_t *inbag, const int64_t *draws, int64_t n_draws,
-                         int64_t n_cand, int64_t min_node_size, int64_t room,
-                         int32_t *feature, double *threshold, int32_t *left,
+static int64_t grow_tree(struct workspace *w, struct pcg64 *g, const double *X,
+                         const uint32_t *ranks, const double *y, int64_t n_rows, int64_t n,
+                         int64_t p, const int64_t *inbag, int64_t n_cand, int64_t min_node_size,
+                         int64_t room, int32_t *feature, double *threshold, int32_t *left,
                          int32_t *right, double *value)
 {
     int64_t *rows = w->rows, *stack = w->stack;
@@ -174,7 +272,7 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
         rows[i] = inbag[i];
 
     /* the stack holds (node id, first row in `rows`, row count) */
-    int64_t n_nodes = 1, next_draw = 0, depth = 1;
+    int64_t n_nodes = 1, depth = 1;
     if (room < 1)
         return -3;
     feature[0] = -1;
@@ -198,12 +296,10 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
         value[node] = total / (double)m;
         if (m < 2 * min_node_size || hi == lo)
             continue;
-        if (next_draw == n_draws)
-            return -1;
+        permutation(g, p, w->order);
         memset(chosen, 0, (size_t)p);
         for (int64_t k = 0; k < n_cand; k++)
-            chosen[draws[next_draw * p + k]] = 1;
-        next_draw++;
+            chosen[w->order[k]] = 1;
 
         /* valid split positions: both children keep min_node_size rows */
         int64_t first = min_node_size - 1, last = m - min_node_size - 1;
@@ -306,41 +402,48 @@ static int64_t grow_tree(struct workspace *w, const double *X, const uint32_t *r
 }
 
 /*
- * Grow trees t0 .. t1-1 of a forest into its node store, and list each
+ * Grow the n_trees trees of a forest into its node store, and list each
  * tree's out-of-bag rows.
  *
- * X, ranks and y hold n_rows rows (see grow_tree). sizes: each tree's sample
- *   size, at most n_rows. inbag: one row of `width` entries per tree, width
- *   being the largest size; tree t's sample is the first sizes[t] entries of
- *   row t, rows of X drawn with replacement.
- * draws: (t1 - t0) blocks of (width / min_node_size) x p candidate orders,
- *   block t - t0 for tree t, which uses its first sizes[t] / min_node_size
- *   rows (see grow_tree).
+ * X, ranks and y hold n_rows rows (see grow_tree). Tree t draws from a
+ *   PCG64 seeded from states[4t .. 4t + 4). Without `rows` it samples the
+ *   n_rows rows of X; with them, the rows rows[row_start[t] ..
+ *   row_start[t+1]), at most n_rows, as if X held only those. Its sample
+ *   is numpy's integers(0, n, size=n) on its n rows, mapped through them,
+ *   and goes to the first n entries of row t of `inbag`, rows of `width`
+ *   entries, width being the largest n. Its nodes then draw their
+ *   candidates from the same generator (see grow_tree).
  * Tree t's nodes go to [node_start[t], node_start[t+1]) of the node arrays,
  * which hold `room` nodes; its child indices count from its own first node.
  * Its out-of-bag rows (the rows of X it never drew), ascending, go to
- * [oob_start[t], oob_start[t+1]) of `oob`. node_start[t0] and oob_start[t0]
- * must be set; the kernel sets entries t0+1 .. t1. Returns 0, -1 if a tree
- * ran out of draws, -2 if memory ran out, or -3 if the node store ran out of
- * room.
+ * [oob_start[t], oob_start[t+1]) of `oob`. Every size must be below 2^32.
+ * Returns 0, -2 if memory ran out, or -3 if the node store ran out of room.
  */
 int64_t grow_forest(const double *X, const uint32_t *ranks, const double *y, int64_t n_rows,
-                    int64_t p, const int64_t *sizes, int64_t width, const int64_t *inbag,
-                    const int64_t *draws, int64_t n_cand, int64_t min_node_size, int64_t room,
-                    int32_t *feature, double *threshold, int32_t *left, int32_t *right,
-                    double *value, int64_t *node_start, int64_t *oob, int64_t *oob_start,
-                    int64_t t0, int64_t t1)
+                    int64_t p, const uint64_t *states, const int64_t *rows,
+                    const int64_t *row_start, int64_t width, int64_t n_cand,
+                    int64_t min_node_size, int64_t room, int32_t *feature, double *threshold,
+                    int32_t *left, int32_t *right, double *value, int64_t *node_start,
+                    int64_t *inbag, int64_t *oob, int64_t *oob_start, int64_t n_trees)
 {
     struct workspace w;
     void *block = alloc_workspace(&w, n_rows, p);
     if (!block)
         return -2;
-    int64_t n_draws = width / min_node_size, result = 0;
-    for (int64_t t = t0; t < t1; t++) {
-        const int64_t *sample = inbag + t * width;
-        int64_t n = sizes[t], at = node_start[t];
-        int64_t count = grow_tree(&w, X, ranks, y, n_rows, n, p, sample,
-                                  draws + (t - t0) * n_draws * p, n / min_node_size, n_cand,
+    int64_t result = 0;
+    node_start[0] = oob_start[0] = 0;
+    for (int64_t t = 0; t < n_trees; t++) {
+        const int64_t *own = rows ? rows + row_start[t] : NULL;
+        int64_t n = rows ? row_start[t + 1] - row_start[t] : n_rows, at = node_start[t];
+        int64_t *sample = inbag + t * width;
+        struct pcg64 g;
+        pcg_seed(&g, states + 4 * t);
+        /* numpy draws nothing for a range of one value */
+        for (int64_t i = 0; i < n; i++) {
+            int64_t draw = n > 1 ? (int64_t)bounded(&g, (uint32_t)(n - 1)) : 0;
+            sample[i] = own ? own[draw] : draw;
+        }
+        int64_t count = grow_tree(&w, &g, X, ranks, y, n_rows, n, p, sample, n_cand,
                                   min_node_size, room - at, feature + at, threshold + at,
                                   left + at, right + at, value + at);
         if (count < 0) {

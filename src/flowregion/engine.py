@@ -52,6 +52,8 @@ INTEGER_FEATURES = frozenset(
 )
 
 _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+#: the places of the count features, in canonical order
+_COUNT_INDEX = tuple(i for i, name in enumerate(FEATURE_NAMES) if name in INTEGER_FEATURES)
 
 
 @dataclass
@@ -101,10 +103,10 @@ class FeatureVector:
         if not np.isfinite(self.values).all():
             bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(self.values))]
             raise NonFinite(f"non-finite feature value(s): {', '.join(bad)}")
-        for name in INTEGER_FEATURES:
-            v = self.values[_INDEX[name]]
+        for i in _COUNT_INDEX:
+            v = self.values[i]
             if v != np.floor(v):
-                raise NonIntegral(f"{name} must be integral, got {v!r}")
+                raise NonIntegral(f"{FEATURE_NAMES[i]} must be integral, got {v!r}")
 
     @classmethod
     def from_dict(cls, mapping: dict[str, float]) -> "FeatureVector":
@@ -295,8 +297,9 @@ def read_feature_table(path) -> list[FeatureRow]:
     """Parse a feature table written by :func:`write_feature_table`.
 
     Blank rows are skipped. A wrong header, a row without 30 fields, a value
-    that is not a number or a second row of one (catchment, variable) raises
-    :class:`ParseError` naming ``<path>:<line>``.
+    that is not a finite number, a count that is not integral or a second row
+    of one (catchment, variable) raises :class:`ParseError` naming
+    ``<path>:<line>``.
     """
     header = ["catchment_id", "variable", *FEATURE_NAMES]
     rows = []
@@ -312,12 +315,12 @@ def read_feature_table(path) -> list[FeatureRow]:
                 raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} "
                                  f"fields, got {len(parts)}")
             try:
-                values = np.array([float(v) for v in parts[2:]])
-            except ValueError as exc:
+                vector = FeatureVector(np.array([float(v) for v in parts[2:]]))
+            except ValueError as exc:  # NonFinite and NonIntegral among them
                 raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
             key = (parts[0], parts[1])
             if key in seen:
                 raise ParseError(f"{path}:{reader.line_num}: duplicate row ({', '.join(key)})")
             seen.add(key)
-            rows.append(FeatureRow(parts[0], parts[1], FeatureVector(values)))
+            rows.append(FeatureRow(parts[0], parts[1], vector))
     return rows

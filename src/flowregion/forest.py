@@ -8,17 +8,17 @@ draws from a substream keyed on (seed, tree index), so each tree is
 bit-identical whatever was grown before it.
 
 Growth and descent run in the compiled kernel ``_tree.c``, loaded by
-:func:`flowregion.native.kernel`. The generators of a forest's trees are
-seeded by one kernel call (:func:`flowregion.seeding.substreams`). Python
-draws each tree's bootstrap sample and its per-node candidate orders from the
-tree's generator, into buffers reused across a forest (a tree's candidate
-orders in one ``rng.permuted`` call on int64 rows, the item size numpy
-shuffles fastest); one kernel call per batch of trees grows them into the
-forest's single node store (:class:`TreeStore`) and lists their out-of-bag
-rows. A tree may be restricted to some rows of the design matrix: its sample
-is drawn from those rows, and it grows as on a matrix of only those rows. One
-kernel entry, ``descend_forest``, reaches every leaf: one call descends every
-tree for :func:`predict` or :func:`oob_error`, summing in tree order, and
+:func:`flowregion.native.kernel`. The PCG64 states of a forest's trees are
+computed by one kernel call (``seeding._states``), and one more grows every
+tree into the forest's single node store (:class:`TreeStore`) and lists its
+out-of-bag rows. The kernel draws from each tree's state as numpy's
+``Generator`` would: the bootstrap sample as ``integers(0, n, size=n)``, then
+one ``permutation(p)`` per node that tries to split, as the node is reached,
+whose first ``mtry`` entries are the node's candidates. A tree may be
+restricted to some rows of the design matrix: its sample is drawn from those
+rows, and it grows as on a matrix of only those rows. One kernel entry,
+``descend_forest``, reaches every leaf: one call descends every tree for
+:func:`predict` or :func:`oob_error`, summing in tree order, and
 :func:`permutation_importance` makes one call per tree.
 ``ForestModel.trees`` are views into that store. :func:`cross_predict`
 builds no model: it grows every fold's trees, each restricted to the rows
@@ -41,7 +41,9 @@ shuffling one predictor within that tree's out-of-bag rows, and the
 differences are averaged over trees. Predictors a tree never splits on leave
 its predictions unchanged, so their per-tree difference is exactly zero and
 the shuffle is skipped; per-(tree, predictor) substreams keep the skipped
-draws from shifting any other permutation. One kernel call per tree returns
+draws from shifting any other permutation. The kernel entry ``permutations``
+draws a tree's shuffles, each numpy's ``permutation(m)`` from its
+substream's state. One kernel call per tree returns
 its out-of-bag predictions and those of every permuted copy, so only one
 tree's permutations are held at a time. The copies are never built: the
 kernel copies each out-of-bag row once into a scratch row, then swaps each
@@ -50,8 +52,6 @@ copy's permuted value in and back out around that copy's descent.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -101,6 +101,8 @@ class DesignMatrix:
             raise ValueError("need at least two rows")
         if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
             raise ValueError("design matrix contains non-finite entries")
+        if max(self.X.shape) >= 1 << 32:
+            raise ValueError("the tree kernel draws rows and predictors as 32-bit integers")
         if self.ranks is None:
             self.ranks = _dense_ranks(self.X)
         self.ranks = np.ascontiguousarray(self.ranks, dtype=np.uint32)
@@ -185,67 +187,51 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-#: trees grown per kernel call, whose candidate draws are held at once; also
-#: the trees that cross_predict holds at once
+#: the trees that cross_predict grows and holds at once
 _BATCH = 16
 
 
-@functools.lru_cache(maxsize=64)
-def _candidate_base(rows: int, p: int) -> np.ndarray:
-    base = np.tile(np.arange(p, dtype=np.int64), (rows, 1))
-    base.flags.writeable = False
-    return base
-
-
-def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> TreeStore:
-    """``n_trees`` trees, each on a bootstrap sample drawn from the next of
-    the generators ``rngs``: a sample of every row of X, or with ``rows``, of
-    the rows ``rows[t]`` for tree t (so tree t grows as on ``X[rows[t]]``
-    with ranks ``ranks[:, rows[t]]``). ``X``, ``ranks`` and ``y`` must be
-    contiguous float64, uint32 and float64 arrays of matching shapes, and
-    ``rows`` int64 arrays."""
+def _grow_forest(X, ranks, y, mtry, min_node_size, n_trees, states, rows=None) -> TreeStore:
+    """``n_trees`` trees in one kernel call, tree t drawing from a PCG64
+    seeded from ``states[t]`` (four uint64 words): its bootstrap sample of
+    every row of X, or with ``rows``, of the rows ``rows[t]`` (so tree t
+    grows as on ``X[rows[t]]`` with ranks ``ranks[:, rows[t]]``), then one
+    candidate order per node that tries to split, drawn as the node is
+    reached. ``X``, ``ranks`` and ``y`` must be contiguous float64, uint32
+    and float64 arrays of matching shapes, ``states`` a contiguous n_trees x
+    4 uint64 array and ``rows`` int64 arrays."""
     n_rows, p = X.shape
-    sizes = (np.full(n_trees, n_rows, dtype=np.int64) if rows is None
-             else np.array([r.size for r in rows], dtype=np.int64))
-    width = int(sizes.max())
-    # One row of candidate orders per node that tries to split; K rows drawn
-    # at once are the rows of, and leave the generator as, K calls to
-    # rng.permutation(p). They are int64, for which rng.permuted has a fast
-    # path: half the time of int32 rows at 92 x 75. Every leaf keeps at least
-    # min_node_size rows and a leaf that tried to split twice that, so fewer
-    # than K = n // min_node_size nodes of a tree on n rows try and it has at
-    # most 2K - 1 nodes.
-    k = width // min_node_size
-    room = n_trees * (2 * k - 1)
+    if states.shape != (n_trees, 4) or states.dtype != np.uint64 or not states.flags.c_contiguous:
+        raise ValueError("states must be a contiguous n_trees x 4 uint64 array")
+    if rows is None:
+        width, flat, row_start = n_rows, None, None
+    else:
+        flat = np.concatenate(rows)
+        row_start = np.cumsum([0] + [r.size for r in rows], dtype=np.int64)
+        width = max(r.size for r in rows)
+    # Every leaf keeps at least min_node_size rows and a leaf that tried to
+    # split twice that, so a tree on n rows has fewer than K = n //
+    # min_node_size nodes that try, and at most 2K - 1 nodes.
+    room = n_trees * (2 * (width // min_node_size) - 1)
     store = TreeStore(
         feature=np.empty(room, dtype=np.int32), threshold=np.empty(room),
         left=np.empty(room, dtype=np.int32), right=np.empty(room, dtype=np.int32),
-        value=np.empty(room), node_start=np.zeros(n_trees + 1, dtype=np.int64),
+        value=np.empty(room), node_start=np.empty(n_trees + 1, dtype=np.int64),
         inbag=np.empty((n_trees, width), dtype=np.int64),
         oob=np.empty(n_trees * n_rows, dtype=np.int64),
-        oob_start=np.zeros(n_trees + 1, dtype=np.int64))
-    draws = np.empty((min(n_trees, _BATCH), k, p), dtype=np.int64)
-    slots = list(draws)
-    outputs = [a.ctypes.data for a in (store.feature, store.threshold, store.left, store.right,
-                                       store.value, store.node_start, store.oob, store.oob_start)]
-    grow = functools.partial(
-        native.kernel().grow_forest, X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n_rows, p,
-        sizes.ctypes.data, width, store.inbag.ctypes.data, draws.ctypes.data, mtry,
-        min_node_size, room, *outputs)
-    first = 0
-    for t, (rng, n) in enumerate(zip(rngs, sizes.tolist())):
-        draw = rng.integers(0, n, size=n)
-        # each draw mapped through the tree's rows keeps the order of the draws
-        store.inbag[t, :n] = draw if rows is None else rows[t][draw]
-        k = n // min_node_size
-        rng.permuted(_candidate_base(k, p), axis=1, out=slots[t - first][:k])
-        if t + 1 - first == len(slots) or t + 1 == n_trees:
-            status = grow(first, t + 1)
-            if status == -2:
-                raise MemoryError("tree kernel could not allocate its workspace")
-            if status < 0:
-                raise RuntimeError("tree kernel ran out of candidate draws or node room")
-            first = t + 1
+        oob_start=np.empty(n_trees + 1, dtype=np.int64))
+    status = native.kernel().grow_forest(
+        X.ctypes.data, ranks.ctypes.data, y.ctypes.data, n_rows, p, states.ctypes.data,
+        *(None if a is None else a.ctypes.data for a in (flat, row_start)), width, mtry,
+        min_node_size, room,
+        *(a.ctypes.data for a in (store.feature, store.threshold, store.left, store.right,
+                                  store.value, store.node_start, store.inbag, store.oob,
+                                  store.oob_start)),
+        n_trees)
+    if status == -2:
+        raise MemoryError("tree kernel could not allocate its workspace")
+    if status < 0:
+        raise RuntimeError("tree kernel ran out of node room")
     return store
 
 
@@ -271,8 +257,9 @@ def _checked_mtry(y: np.ndarray, p: int, params: ForestParams) -> int:
     return mtry
 
 
-def _tree_streams(seed: int, n_trees: int):
-    return seeding.substreams(seed, ((_TREE_STREAM, t) for t in range(n_trees)))
+def _tree_streams(seed: int, n_trees: int) -> np.ndarray:
+    """The PCG64 states of a forest's trees, one row per tree."""
+    return seeding._states(seed, ((_TREE_STREAM, t) for t in range(n_trees)))
 
 
 def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
@@ -310,13 +297,13 @@ def cross_predict(data: DesignMatrix, params: ForestParams | None, folds: list[n
         mtry = _checked_mtry(data.y[trains[-1]], p, params)
     n_trees = params.n_trees
     # tree i of the pair is tree i % n_trees of fold i // n_trees
-    rngs = itertools.chain.from_iterable(_tree_streams(seed, n_trees) for seed in seeds)
+    states = np.concatenate([_tree_streams(seed, n_trees) for seed in seeds])
     sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
     total = len(folds) * n_trees
     for first in range(0, total, _BATCH):
         fold_of = [i // n_trees for i in range(first, min(first + _BATCH, total))]
         store = _grow_forest(data.X, data.ranks, data.y, mtry, params.min_node_size,
-                             len(fold_of), itertools.islice(rngs, len(fold_of)),
+                             len(fold_of), states[first:first + _BATCH],
                              [trains[f] for f in fold_of])
         # each tree predicts its fold's rows, a subset of its out-of-bag rows
         store.oob = np.concatenate([folds[f] for f in fold_of])
@@ -396,6 +383,15 @@ def oob_error(model: ForestModel, data: DesignMatrix) -> float:
     return float(resid @ resid / covered.sum())
 
 
+def _shuffles(seed: int, tree: int, used: np.ndarray, m: int) -> np.ndarray:
+    """numpy's ``permutation(m)`` from the substream of (tree, predictor j)
+    for each j of ``used``, one row each, drawn by the kernel."""
+    states = seeding._states(seed, [(_PERM_STREAM, tree, j) for j in used.tolist()])
+    perms = np.empty((used.size, m), dtype=np.int64)
+    native.kernel().permutations(states.ctypes.data, used.size, m, perms.ctypes.data)
+    return perms
+
+
 def permutation_importance(
     model: ForestModel, data: DesignMatrix, seed: int = 0
 ) -> ImportanceReport:
@@ -419,9 +415,7 @@ def permutation_importance(
         trees_used += 1
         feature = store.feature[nodes[t]:nodes[t + 1]]
         used = np.unique(feature[feature >= 0])
-        streams = seeding.substreams(seed, [(_PERM_STREAM, t, j) for j in used.tolist()])
-        perms = np.array([rng.permutation(o.size) for rng in streams],
-                         dtype=np.int64).reshape(used.size, o.size)
+        perms = _shuffles(seed, t, used, o.size)
         d = _descend_forest(store, data.X, True, t, used, perms) - data.y[o]
         # each row's BLAS dot, as ``d @ d`` takes it; einsum and sum round differently
         mse = np.matmul(d[:, None, :], d[:, :, None]).ravel() / o.size

@@ -44,8 +44,9 @@ _ptr, _i64 = ctypes.c_void_p, ctypes.c_int64
 
 #: (argtypes, restype) of every entry of the library
 _ENTRIES = {
-    "grow_forest": ([_ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _i64, _i64,
-                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64], _i64),
+    "grow_forest": ([_ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _i64, _i64,
+                     _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64], _i64),
+    "permutations": ([_ptr, _i64, _i64, _ptr], None),
     "descend_forest": ([_ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _i64, _i64, _i64,
                         _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr], None),
     "seed_states": ([_ptr, _ptr, _i64, _ptr], None),

@@ -86,7 +86,8 @@ def predictor_matrix(records: list[CatchmentRecord], columns: list[str]) -> np.n
 def target_vector(records: list[CatchmentRecord], feature: str) -> np.ndarray:
     if feature not in FEATURE_NAMES:
         raise ValueError(f"unknown streamflow feature {feature!r}")
-    return _feature_block(records, "streamflow")[:, FEATURE_NAMES.index(feature)]
+    j = FEATURE_NAMES.index(feature)
+    return np.fromiter((r.streamflow.values[j] for r in records), np.float64, len(records))
 
 
 # -- correlation analysis ----------------------------------------------------

@@ -12,6 +12,12 @@ the compiled ``_tree.c`` (:func:`flowregion.native.kernel`) hashes every
 label's words as ``SeedSequence`` does, and each generator's PCG64 is seeded
 from those words. :func:`substream` and :func:`child_seed` are the same for
 one label.
+
+The forest builds no generator: :mod:`flowregion.forest` hands the PCG64
+states of ``_states`` to the tree kernel, which draws from them as numpy's
+``Generator`` does. numpy Generators are still built by :func:`substream`
+for ``regional.kfold_split`` and for each catchment of
+:mod:`flowregion.synthetic`, and by the test suite's reference grower.
 """
 
 from __future__ import annotations
@@ -86,16 +92,20 @@ class _Precomputed:
         return self.state
 
 
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """numpy's default generator on a PCG64 seeded from the four words ``state``."""
+    # registered here, not at import: importing numpy.random costs ~10 ms
+    np.random.bit_generator.ISeedSequence.register(_Precomputed)
+    return np.random.Generator(np.random.PCG64(_Precomputed(state)))
+
+
 def substreams(seed, labels):
     """``substream(seed, *label)`` for each label, in order, as an iterator.
 
     Every label's state is computed by this call; each generator is built as
     the iterator reaches it, so only the states are held up front.
     """
-    # registered here, not at import: importing numpy.random costs ~10 ms
-    np.random.bit_generator.ISeedSequence.register(_Precomputed)
-    return (np.random.Generator(np.random.PCG64(_Precomputed(state)))
-            for state in _states(seed, labels))
+    return map(_generator, _states(seed, labels))
 
 
 def child_seeds(seed, labels) -> list[int]:

@@ -1,11 +1,12 @@
 """The numpy random-forest grower and descent that the compiled kernel replaced.
 
 Kept as the reference that ``tests/test_tree_kernel.py`` compares the kernel
-with bit for bit. ``grow_forest`` and ``descend_forest`` take the arguments of
-``forest._grow_forest`` and ``forest._descend_forest``, so a test can patch
-them in and run the same ``fit``, ``predict``, ``oob_error``,
-``permutation_importance`` and ``cross_predict``. They loop over the
-per-tree ``grow_tree`` and ``tree_predict``.
+with bit for bit. ``grow_forest``, ``shuffles`` and ``descend_forest`` take
+the arguments of ``forest._grow_forest``, ``forest._shuffles`` and
+``forest._descend_forest``, so a test can patch them in and run the same
+``fit``, ``predict``, ``oob_error``, ``permutation_importance`` and
+``cross_predict``. They loop over the per-tree ``grow_tree`` and
+``tree_predict``, and draw through numpy's ``Generator``.
 
 The grower sorts integer keys instead of floats at each node: every value is
 replaced by its dense rank within its column, shifted into the high 32 bits,
@@ -16,6 +17,7 @@ sort order and equal high words mark tied values.
 
 import numpy as np
 
+from flowregion import forest, seeding
 from flowregion.forest import RegressionTree, TreeStore
 
 _LOW_WORD = np.uint64(0xFFFFFFFF)
@@ -167,15 +169,17 @@ def tree_predict(tree: RegressionTree, X: np.ndarray, cols=None,
     return out if cols is None else out.reshape(len(cols), n)
 
 
-def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> TreeStore:
-    """One ``grow_tree`` per generator, packed as ``forest._grow_forest`` packs.
+def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, states, rows=None) -> TreeStore:
+    """One ``grow_tree`` per PCG64 state, packed as ``forest._grow_forest`` packs.
 
+    Tree t draws through numpy from a ``Generator`` whose PCG64 is seeded
+    from ``states[t]``, so a comparison also checks the kernel's own draws.
     With ``rows``, tree t grows on ``X[rows[t]]`` and ``y[rows[t]]``; its
     bootstrap draws are mapped back through ``rows[t]``, its out-of-bag rows
     are all rows of X it never drew, and its ``inbag`` row is padded with -1
     to the largest sample."""
     trees = []
-    for t, rng in enumerate(rngs):
+    for t, rng in enumerate(map(seeding._generator, states)):
         if rows is None:
             trees.append(grow_tree(X, ranks, y, mtry, min_node_size, rng))
             continue
@@ -198,6 +202,13 @@ def grow_forest(X, ranks, y, mtry, min_node_size, n_trees, rngs, rows=None) -> T
         node_start=np.cumsum([0] + [tree.feature.size for tree in trees]),
         inbag=inbag, oob=packed("oob"),
         oob_start=np.cumsum([0] + [tree.oob.size for tree in trees]))
+
+
+def shuffles(seed, tree, used, m) -> np.ndarray:
+    """``forest._shuffles``, each permutation drawn through numpy."""
+    labels = [(forest._PERM_STREAM, tree, j) for j in used.tolist()]
+    streams = map(seeding._generator, seeding._states(seed, labels))
+    return np.array([rng.permutation(m) for rng in streams], dtype=np.int64).reshape(used.size, m)
 
 
 def descend_forest(store: TreeStore, X: np.ndarray, oob: bool, tree=None, cols=None,

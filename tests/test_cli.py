@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,6 +312,47 @@ class TestFeatureTableReuse:
         assert (f"features.csv:{len(lines) + 1}: duplicate row ({cid}, {variable})"
                 in capsys.readouterr().err)
         assert len(loads) == 1
+
+    @staticmethod
+    def _set_cells(table: Path, line: int, cells: dict[str, str]) -> None:
+        lines = table.read_text().splitlines()
+        parts = lines[line - 1].split(",")
+        for name, value in cells.items():
+            parts[2 + FEATURE_NAMES.index(name)] = value
+        lines[line - 1] = ",".join(parts)
+        table.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("flat_spots", "3.5", "flat_spots must be integral, got np.float64(3.5)"),
+        ("entropy", "nan", "non-finite feature value(s): entropy"),
+    ])
+    def test_bad_reused_value_exits_2(self, tmp_path, inputs, loads, capsys, name, value,
+                                      message):
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        self._set_cells(out / "features.csv", 5, {name: value})
+        capsys.readouterr()
+        assert run("correlate", "--out", str(out), *inputs) == 2
+        assert f"features.csv:5: {message}" in capsys.readouterr().err
+        assert len(loads) == 1
+
+    def test_first_bad_count_in_canonical_order_whatever_the_hash_seed(self, tmp_path,
+                                                                        inputs):
+        """Under hash seeds 0 and 1, iterating a frozenset of the counts would
+        name peak or flat_spots first."""
+        out = tmp_path / "o"
+        assert run("extract", "--out", str(out), *inputs) == 0
+        self._set_cells(out / "features.csv", 5,
+                        {"peak": "1.5", "flat_spots": "2.5", "crossing_points": "0.5"})
+        src = str(Path(cli.__file__).parents[1])
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "flowregion.cli", "correlate", "--out", str(out),
+                 *inputs], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 2, done.stderr
+            assert ("features.csv:5: crossing_points must be integral, got np.float64(0.5)"
+                    in done.stderr)
 
 
 COMMANDS = ("extract", "correlate", "importance", "crossval", "report")

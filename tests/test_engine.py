@@ -16,7 +16,7 @@ from flowregion.engine import (
     write_feature_table,
 )
 from flowregion import distributional, engine
-from flowregion.errors import ConfigError, ExtractionFailed, NonFinite, ParseError
+from flowregion.errors import ConfigError, ExtractionFailed, ParseError
 from flowregion.series import TimeSeries
 
 from conftest import ar1, daily_series, sine, white_noise
@@ -325,7 +325,7 @@ class TestFeatureTableIO:
         fields[2] = "nan"
         lines[1] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(NonFinite, match="x_acf1"):
+        with pytest.raises(ParseError, match=r"features.csv:2: non-finite .*: x_acf1"):
             read_feature_table(path)
 
     def test_header_check(self, tmp_path):

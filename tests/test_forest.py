@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowregion import forest
 from flowregion.errors import (
     ColumnMismatch,
     DegenerateTarget,
@@ -288,25 +287,3 @@ def test_golden_forest_outputs_bit_identical():
         digest.update(report.ranks.tobytes())
     assert digest.hexdigest() == GOLDEN_FOREST_SHA256
 
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-@pytest.mark.parametrize("k, p", [(5, 1), (9, 2), (12, 3), (40, 19), (92, 75)])
-def test_candidate_draws_match_per_row_permutations(seed, k, p):
-    """A tree's k rows of candidate orders are one ``rng.permuted`` of the
-    int64 base into a buffer, for numpy's fast path for 8-byte items. They
-    must be the rows that the int32 base and k calls to
-    ``rng.permutation(p)`` give, and leave the generator where those leave
-    it; the golden pins rest on this."""
-    base = forest._candidate_base(k, p)
-    drawn = {}
-    for layout in ("int64", "int32", "permutation"):
-        rng = np.random.default_rng(seed)
-        if layout == "permutation":
-            rows = np.array([rng.permutation(p) for _ in range(k)])
-        else:
-            rows = np.empty((k, p), dtype=layout)
-            rng.permuted(base.astype(layout), axis=1, out=rows)
-        drawn[layout] = (rows.astype(np.int64).tobytes(),
-                         rng.integers(0, 1 << 62, size=3).tobytes())
-    assert base.dtype == np.int64
-    assert drawn["int64"] == drawn["int32"] == drawn["permutation"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import forest_oracle
-from flowregion import forest
+from flowregion import forest, native, seeding
 from flowregion.forest import (
     DesignMatrix,
     ForestParams,
@@ -72,6 +72,7 @@ def _assert_matches_oracle(data, params, seed, monkeypatch):
     kernel = _outputs(data, params, seed)
     with monkeypatch.context() as patch:
         patch.setattr(forest, "_grow_forest", forest_oracle.grow_forest)
+        patch.setattr(forest, "_shuffles", forest_oracle.shuffles)
         patch.setattr(forest, "_descend_forest", forest_oracle.descend_forest)
         oracle = _outputs(data, params, seed)
     for key in oracle:
@@ -130,13 +131,75 @@ def test_restricted_and_wide_ranks_match_oracle(monkeypatch):
 
 
 def test_candidate_draws_cover_every_splitting_node():
-    """A node that tries to split consumes one row of candidate draws. With
-    every row repeated under another target, many leaves try and fail; the
-    n // min_node_size rows drawn per tree must still suffice."""
+    """A node that tries to split draws its candidates. With every row
+    repeated under another target, many leaves try and fail; each tree must
+    still fit in the 2 * (n // min_node_size) - 1 nodes of room it is given."""
     for min_node in (1, 2, 3):
         data = _design(64, 1, "pairs", "normal", seed=min_node)
         model = fit(data, ForestParams(n_trees=20, min_node_size=min_node), seed=1)
         assert all(tree.feature.size >= 1 for tree in model.trees)
+
+
+def _bootstrap(data, states, rows=None):
+    """The inbag rows that ``forest._grow_forest`` writes, one per state."""
+    store = forest._grow_forest(data.X, data.ranks, data.y, 1, 1, len(states), states, rows)
+    sizes = [data.y.size] * len(states) if rows is None else [r.size for r in rows]
+    return [row[:n] for row, n in zip(store.inbag, sizes)]
+
+
+def _lemire_rejections(state, n) -> int:
+    """How many 32-bit halves numpy's integers(0, n, size=n) from ``state``
+    rejects: Lemire's method rejects a half h when (h * n) mod 2**32 falls
+    below 2**32 mod n."""
+    raw = seeding._generator(state).bit_generator.random_raw(n)
+    halves = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()
+    low = (halves * np.uint64(n) & np.uint64(0xFFFFFFFF)).tolist()
+    kept = 0
+    for i, v in enumerate(low):
+        kept += v >= (1 << 32) % n
+        if kept == n:
+            return i + 1 - n
+    raise AssertionError("more than n halves rejected")
+
+
+@pytest.mark.parametrize("n", [2, 10, 460, 511, 641])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_bootstrap_draws_match_numpy(n, seed):
+    """A tree's sample is numpy's integers(0, n, size=n) from its state, on
+    every row or, mapped through them, on the rows it is restricted to."""
+    data = _design(n + 5, 3, "normal", "normal", seed=n)
+    states = forest._tree_streams(seed, 4)
+    pick = np.random.default_rng(seed)
+    rows = [np.sort(pick.permutation(n + 5)[:n]) for _ in range(4)]
+    whole = _bootstrap(DesignMatrix(data.columns, data.X[:n], data.y[:n]), states)
+    restricted = _bootstrap(data, states, rows)
+    for t, rng in enumerate(map(seeding._generator, states)):
+        want = rng.integers(0, n, size=n)
+        np.testing.assert_array_equal(whole[t], want)
+        np.testing.assert_array_equal(restricted[t], rows[t][want])
+
+
+def test_bootstrap_follows_lemire_rejections():
+    """641 divides 2**32 + 1, so 2**32 mod 641 is 640, the largest rejection
+    threshold a sample size can have. The sample of tree 1523 under seed 7
+    on 641 rows rejects some draws; the kernel's must be numpy's."""
+    (state,) = seeding._states(7, [("tree", 1523)])
+    assert _lemire_rejections(state, 641) > 0
+    data = _design(641, 2, "normal", "normal", seed=1)
+    (sample,) = _bootstrap(data, state[None])
+    np.testing.assert_array_equal(sample, seeding._generator(state).integers(0, 641, size=641))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 75, 511, 512, 513])
+def test_permutations_match_numpy(m):
+    """One permutation(m) per state, as numpy's Generator shuffles. At
+    m = 513 the first swap draws under the mask 1023, rejecting about half
+    of its draws."""
+    states = seeding._states(3, [("perm", t, j) for t in range(3) for j in range(4)])
+    out = np.empty((len(states), m), dtype=np.int64)
+    native.kernel().permutations(states.ctypes.data, len(states), m, out.ctypes.data)
+    for row, rng in zip(out, map(seeding._generator, states)):
+        np.testing.assert_array_equal(row, rng.permutation(m))
 
 
 def test_min_node_size_must_be_positive():
