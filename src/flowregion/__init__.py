@@ -9,6 +9,7 @@ predictor groups.
 
 from .dataio import (
     CatchmentRecord,
+    CatchmentTable,
     IngestConfig,
     STATIC_ATTRIBUTES,
     load_dataset,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PREDICTORS",
     "CatchmentRecord",
+    "CatchmentTable",
     "CorrelationMatrix",
     "Decomposition",
     "DesignMatrix",

@@ -242,7 +242,7 @@ def _fingerprint(cfg: RunConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def _extract_records(cfg: RunConfig):
+def _extract_table(cfg: RunConfig):
     """Generate the synthetic dataset when asked, else check that the inputs
     exist; then write features.csv, exclusions.csv and the fingerprint."""
     if cfg.synthetic:
@@ -256,21 +256,19 @@ def _extract_records(cfg: RunConfig):
     fingerprint = _fingerprint(cfg)
     stamp = cfg.output_dir / FINGERPRINT_FILE
     stamp.unlink(missing_ok=True)  # no stamp may outlive the table it described
-    records, exclusions = _load_dataset(cfg.series_dir, cfg.attributes_file, cfg.ingest)
-    rows = [
+    table, exclusions = _load_dataset(cfg.series_dir, cfg.attributes_file, cfg.ingest)
+    # rows in (catchment id, variable) order: the ids are sorted already
+    write_feature_table(cfg.output_dir / "features.csv", [
         FeatureRow(r.catchment_id, variable, r.features(variable))
-        for r in records
-        for variable in VARIABLE_KINDS
-    ]
-    rows.sort(key=lambda row: (row.catchment_id, row.variable))
-    write_feature_table(cfg.output_dir / "features.csv", rows)
+        for r in table for variable in sorted(VARIABLE_KINDS)
+    ])
     write_table(cfg.output_dir / "exclusions.csv", ("catchment_id", "variable", "reason"),
                 ((exc.catchment_id, exc.variable, exc.reason) for exc in exclusions))
     stamp.write_text(fingerprint, encoding="utf-8")
-    return records
+    return table
 
 
-def _obtain_records(cfg: RunConfig):
+def _obtain_table(cfg: RunConfig):
     """Reuse features.csv when its fingerprint matches the current inputs and
     options, else extract again."""
     stamp = cfg.output_dir / FINGERPRINT_FILE
@@ -283,39 +281,37 @@ def _obtain_records(cfg: RunConfig):
     elif stamp.read_text(encoding="utf-8") != _fingerprint(cfg):
         reason = "inputs or data-affecting options changed"
     else:
-        rows = read_feature_table(cfg.output_dir / "features.csv")
-        records = assemble_rows(rows, read_attributes(cfg.attributes_file,
-                                                      cfg.ingest.log_transform))
-        if records:
-            return records
+        table = assemble_rows(read_feature_table(cfg.output_dir / "features.csv"),
+                              read_attributes(cfg.attributes_file, cfg.ingest.log_transform))
+        if len(table):
+            return table
         reason = "features.csv holds no complete record"
     logger.info("extracting features under %s: %s", cfg.output_dir, reason)
-    return _extract_records(cfg)
+    return _extract_table(cfg)
 
 
-def _correlate(cfg: RunConfig, records) -> None:
-    write_correlations(cfg.output_dir / "correlations.csv",
-                       correlation_matrix(records))
+def _correlate(cfg: RunConfig, table) -> None:
+    write_correlations(cfg.output_dir / "correlations.csv", correlation_matrix(table))
 
 
-def _importance(cfg: RunConfig, records) -> None:
-    reports = importance_all(records, cfg.forest_params(), seed=cfg.seed,
+def _importance(cfg: RunConfig, table) -> None:
+    reports = importance_all(table, cfg.forest_params(), seed=cfg.seed,
                              workers=cfg.ingest.workers)
     write_importance(cfg.output_dir / "importance.csv", reports)
 
 
-def _crossval(cfg: RunConfig, records) -> None:
-    report = evaluate_all(records, cfg.forest_params(), seed=cfg.seed,
+def _crossval(cfg: RunConfig, table) -> None:
+    report = evaluate_all(table, cfg.forest_params(), seed=cfg.seed,
                           k=cfg.folds, groups=cfg.groups, workers=cfg.ingest.workers)
     write_evaluation(cfg.output_dir / "evaluation.json", report)
     write_pred_vs_obs(cfg.output_dir / "pred_vs_obs.csv", report)
 
 
-def _report(cfg: RunConfig, records) -> None:
-    write_summaries(cfg.output_dir / "summaries.csv", feature_summary(records))
+def _report(cfg: RunConfig, table) -> None:
+    write_summaries(cfg.output_dir / "summaries.csv", feature_summary(table))
 
 
-#: name -> (help, analysis of the records); extract runs no analysis.
+#: name -> (help, analysis of the catchment table); extract runs no analysis.
 COMMANDS = {
     "extract": ("extract the 28-feature table from daily series", None),
     "correlate": ("Spearman correlations of predictors vs streamflow features",
@@ -333,9 +329,9 @@ def _run(cfg: RunConfig) -> int:
     _echo_config(cfg)
     analysis = COMMANDS[cfg.command][1]
     if analysis is None:
-        _extract_records(cfg)
+        _extract_table(cfg)
     else:
-        analysis(cfg, _obtain_records(cfg))
+        analysis(cfg, _obtain_table(cfg))
     return EXIT_OK
 
 

@@ -14,6 +14,12 @@ malformed or short of complete coverage of the configured window are dropped
 with a logged reason. :class:`IngestConfig` raises :class:`ConfigError` when
 it is built with a bad value: a period below 2, fewer than one worker, an
 unknown policy or a window that holds no day.
+
+:func:`load_dataset` (from the series) and :func:`assemble_rows` (from a
+feature table that ``extract`` wrote, and the attributes) both return one
+:class:`CatchmentTable`. It stacks the static block and the feature blocks
+into the 75-column predictor matrix and ranks each column once, when it is
+built; every regional analysis slices it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import ctypes
 import datetime
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,9 +38,9 @@ import numpy as np
 
 from . import native
 from .engine import (
+    FEATURE_NAMES,
     Exclusion,
     FeatureConfig,
-    FeatureRow,
     FeatureVector,
     _extract_task,
     check_policy,
@@ -41,6 +48,7 @@ from .engine import (
     parallel_map,
 )
 from .errors import ConfigError, IncompleteRecord, ParseError, UnknownAttribute
+from .forest import dense_ranks
 from .series import TimeSeries
 
 logger = logging.getLogger(__name__)
@@ -55,6 +63,7 @@ STATIC_ATTRIBUTES = (
 )
 
 LOG_ATTRIBUTES = ("log_elev_mean", "log_slope_mean", "log_area_gages2")
+_LOG_COLUMNS = [STATIC_ATTRIBUTES.index(name) for name in LOG_ATTRIBUTES]
 
 #: Per-catchment input series; temperature is derived as (tmin + tmax) / 2.
 SERIES_VARIABLES = ("tmin", "tmax", "precipitation", "streamflow")
@@ -96,6 +105,51 @@ class CatchmentRecord:
 
     def features(self, variable: str) -> FeatureVector:
         return getattr(self, variable)
+
+
+class CatchmentTable:
+    """A dataset's complete catchments as blocks with one row per catchment.
+
+    Row i of every block is catchment ``ids[i]``, and the ids are sorted and
+    distinct. ``static`` holds the 19 :data:`STATIC_ATTRIBUTES` and
+    ``blocks[variable]`` the 28 features of each of :data:`VARIABLE_KINDS`.
+    When the table is built, ``predictors`` (C-contiguous) puts the static,
+    temperature and precipitation blocks side by side, in the order of
+    ``regional.ALL_PREDICTORS``, and ``ranks`` (predictors x catchments) holds
+    the dense rank of every value within its column, as
+    :class:`forest.DesignMatrix` takes them. The regional analyses slice
+    these instead of building and ranking their own. Indexing or iterating
+    gives :class:`CatchmentRecord` copies, one per catchment.
+    """
+
+    def __init__(self, ids, static, blocks: dict[str, np.ndarray]):
+        self.ids = list(ids)
+        if self.ids != sorted(set(self.ids)):
+            raise ValueError("catchment ids must be sorted and distinct")
+        self.static = _checked_block(static, len(self.ids), len(STATIC_ATTRIBUTES))
+        self.blocks = {v: _checked_block(blocks[v], len(self.ids), len(FEATURE_NAMES))
+                       for v in VARIABLE_KINDS}
+        self.predictors = np.concatenate(
+            [self.static, self.blocks["temperature"], self.blocks["precipitation"]], axis=1)
+        self.ranks = dense_ranks(self.predictors)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> CatchmentRecord:
+        return CatchmentRecord(self.ids[i], dict(zip(STATIC_ATTRIBUTES, self.static[i].tolist())),
+                               *(FeatureVector(self.blocks[v][i].copy()) for v in VARIABLE_KINDS))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.ids)))
+
+
+def _checked_block(values, n: int, width: int) -> np.ndarray:
+    """``values`` as a new n x width float64 array; an empty block may be flat."""
+    block = np.array(values, dtype=np.float64)
+    if block.shape != (n, width) and block.size + n:
+        raise ValueError(f"expected a {n} x {width} block, got {block.shape}")
+    return block.reshape(n, width)
 
 
 def window_days(start: datetime.date, end: datetime.date) -> tuple[np.ndarray, np.ndarray]:
@@ -199,9 +253,16 @@ def _raise_first_bad_line(path, body: str) -> None:
     raise RuntimeError(f"{path}: rejected by the parser, but every line parses")
 
 
-def read_attributes(path, log_transform: bool = False) -> dict[str, dict[str, float]]:
-    """Parse the static-attributes table, optionally log10-transforming the
-    three log_-prefixed attributes from raw values."""
+def read_attributes(path, log_transform: bool = False) -> dict[str, np.ndarray]:
+    """Parse the static-attributes table into each catchment's 19 values, in
+    :data:`STATIC_ATTRIBUTES` order (rows of one block), optionally
+    log10-transforming the three log_-prefixed attributes from raw values.
+
+    Every field is converted in one call; a row without a field per column, a
+    value that is not a number, a non-positive value to log-transform, a
+    non-finite value or a second row of one catchment raises
+    :class:`ParseError` naming the first bad ``<path>:<line>``.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -219,33 +280,52 @@ def read_attributes(path, log_transform: bool = False) -> dict[str, dict[str, fl
         missing = [c for c in STATIC_ATTRIBUTES if c not in header]
         if missing:
             raise ParseError(f"{path}:1: missing attribute column(s): {', '.join(missing)}")
-        out: dict[str, dict[str, float]] = {}
-        col = {name: header.index(name) for name in header}
-        for lineno, rowvals in enumerate(reader, start=2):
-            if not rowvals:
-                continue
-            if len(rowvals) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-            cid = rowvals[col["catchment_id"]]
-            attrs: dict[str, float] = {}
-            for name in STATIC_ATTRIBUTES:
-                try:
-                    v = float(rowvals[col[name]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                if log_transform and name in LOG_ATTRIBUTES:
-                    if v <= 0:
-                        raise ParseError(
-                            f"{path}:{lineno}: {name} must be positive to log-transform"
-                        )
-                    v = math.log10(v)
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}:{lineno}: non-finite {name}")
-                attrs[name] = v
-            if cid in out:
-                raise ParseError(f"{path}:{lineno}: duplicate catchment {cid}")
-            out[cid] = attrs
-    return out
+        rows = [(lineno, parts) for lineno, parts in enumerate(reader, start=2) if parts]
+    col = {name: header.index(name) for name in header}
+    fields = operator.itemgetter(*(col[name] for name in STATIC_ATTRIBUTES))
+    try:
+        if any(len(parts) != len(header) for _, parts in rows):
+            raise ValueError("a row without a field per column")
+        ids = [parts[col["catchment_id"]] for _, parts in rows]
+        values = np.array([fields(parts) for _, parts in rows],
+                          dtype=np.float64).reshape(len(rows), len(STATIC_ATTRIBUTES))
+        if log_transform:
+            logged = values[:, _LOG_COLUMNS]
+            if not (logged > 0).all():
+                raise ValueError("a value to log-transform is not positive")
+            values[:, _LOG_COLUMNS] = [[math.log10(v) for v in row] for row in logged.tolist()]
+        if not np.isfinite(values).all() or len(set(ids)) < len(ids):
+            raise ValueError("a non-finite value or a repeated catchment")
+    except ValueError:
+        _raise_first_bad_row(path, rows, header, log_transform)
+    return dict(zip(ids, values))
+
+
+def _raise_first_bad_row(path, rows, header: list[str], log_transform: bool) -> None:
+    """Raise the ParseError of the first of the (line, fields) ``rows`` of an
+    attributes file that :func:`read_attributes` rejects: its checks, one row
+    at a time."""
+    col = {name: header.index(name) for name in header}
+    seen = set()
+    for lineno, rowvals in rows:
+        if len(rowvals) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
+        for name in STATIC_ATTRIBUTES:
+            try:
+                v = float(rowvals[col[name]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if log_transform and name in LOG_ATTRIBUTES:
+                if v <= 0:
+                    raise ParseError(f"{path}:{lineno}: {name} must be positive to log-transform")
+                v = math.log10(v)
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{lineno}: non-finite {name}")
+        cid = rowvals[col["catchment_id"]]
+        if cid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate catchment {cid}")
+        seen.add(cid)
+    raise RuntimeError(f"{path}: rejected as a block, but every row parses")
 
 
 def _window_values(series: np.ndarray, config: IngestConfig, keep: np.ndarray,
@@ -298,8 +378,8 @@ def _load_catchment(shared, cid: str):
 
 def load_dataset(
     series_dir, attributes_file, config: IngestConfig | None = None
-) -> tuple[list[CatchmentRecord], list[Exclusion]]:
-    """Ingest a dataset directory into catchment records with features.
+) -> tuple[CatchmentTable, list[Exclusion]]:
+    """Ingest a dataset directory into the table of its catchments' features.
 
     Temperature is the elementwise mean of the tmin and tmax series. Every
     series must cover the configured window completely (Feb 29 aside) and
@@ -316,24 +396,21 @@ def load_dataset(
         [result for _, results in loaded for result in results], config.policy,
         failed=[(cid, error) for cid, (error, _) in zip(ids, loaded) if error is not None],
     )
-    # a catchment is all three vectors or nothing
-    return assemble_rows(rows, attributes), exclusions
+    features = {(row.catchment_id, row.variable): row.features.values for row in rows}
+    return assemble_rows(features, attributes), exclusions
 
 
-def assemble_rows(rows: list[FeatureRow], attributes) -> list[CatchmentRecord]:
-    """Build records from a parsed feature table plus parsed attributes."""
-    by_catchment: dict[str, dict[str, FeatureVector]] = {}
-    for row in rows:
-        by_catchment.setdefault(row.catchment_id, {})[row.variable] = row.features
-    records = []
-    for cid in sorted(by_catchment):
-        vectors = by_catchment[cid]
-        if set(vectors) == set(VARIABLE_KINDS) and cid in attributes:
-            records.append(CatchmentRecord(
-                catchment_id=cid,
-                static=attributes[cid],
-                temperature=vectors["temperature"],
-                precipitation=vectors["precipitation"],
-                streamflow=vectors["streamflow"],
-            ))
-    return records
+def assemble_rows(features: dict[tuple[str, str], np.ndarray],
+                  attributes: dict[str, np.ndarray]) -> CatchmentTable:
+    """The table of every catchment that has a row of ``attributes`` (as
+    :func:`read_attributes` returns them) and exactly the three feature rows
+    of :data:`VARIABLE_KINDS` in ``features`` (as
+    :func:`engine.read_feature_table` returns them): a catchment is all three
+    vectors or nothing."""
+    variables: dict[str, set[str]] = {}
+    for cid, variable in features:
+        variables.setdefault(cid, set()).add(variable)
+    ids = [cid for cid in sorted(variables)
+           if variables[cid] == set(VARIABLE_KINDS) and cid in attributes]
+    return CatchmentTable(ids, [attributes[cid] for cid in ids],
+                          {v: [features[cid, v] for cid in ids] for v in VARIABLE_KINDS})

@@ -15,6 +15,7 @@ decomposition runs two non-robust passes.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -293,34 +294,62 @@ def write_feature_table(path, rows: list[FeatureRow]) -> None:
                  for row in rows))
 
 
-def read_feature_table(path) -> list[FeatureRow]:
-    """Parse a feature table written by :func:`write_feature_table`.
+def read_feature_table(path) -> dict[tuple[str, str], np.ndarray]:
+    """Parse a feature table written by :func:`write_feature_table` into the
+    28 values of each (catchment id, variable) row, in file order (rows of one
+    block).
 
-    Blank rows are skipped. A wrong header, a row without 30 fields, a value
-    that is not a finite number, a count that is not integral or a second row
-    of one (catchment, variable) raises :class:`ParseError` naming
-    ``<path>:<line>``.
+    Blank rows are skipped. The fields are converted in one call per chunk of
+    rows, so that only one chunk's strings are held at a time. A wrong
+    header, a row without 30 fields, a value that is not a finite number, a
+    count that is not integral or a second row of one (catchment, variable)
+    raises :class:`ParseError` naming the first bad ``<path>:<line>``.
     """
-    header = ["catchment_id", "variable", *FEATURE_NAMES]
-    rows = []
+    keys, blocks = [], [np.empty((0, len(FEATURE_NAMES)))]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _TABLE_HEADER:
+            raise ParseError(f"{path}:1: unexpected feature table header")
+        rows = filter(None, reader)
+        try:
+            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+                if any(len(parts) != len(_TABLE_HEADER) for parts in chunk):
+                    raise ValueError("a row without 30 fields")
+                blocks.append(np.array([parts[2:] for parts in chunk], dtype=np.float64))
+                keys.extend((parts[0], parts[1]) for parts in chunk)
+        except ValueError:
+            _raise_first_bad_row(path)
+    values = np.concatenate(blocks)
+    counts = values[:, _COUNT_INDEX]
+    table = dict(zip(keys, values))
+    if not (np.isfinite(values).all() and (counts == np.floor(counts)).all()
+            and len(table) == len(keys)):
+        _raise_first_bad_row(path)
+    return table
+
+
+_TABLE_HEADER = ["catchment_id", "variable", *FEATURE_NAMES]
+#: rows converted per call; their strings are what read_feature_table holds
+_CHUNK_ROWS = 256
+
+
+def _raise_first_bad_row(path) -> None:
+    """Raise the ParseError of the first row of a feature table that
+    :func:`read_feature_table` rejects: its checks, one row at a time."""
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ParseError(f"{path}:1: unexpected feature table header")
-        for parts in reader:
-            if not parts:
-                continue
-            if len(parts) != len(header):
-                raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} "
+        next(reader)
+        for parts in filter(None, reader):
+            if len(parts) != len(_TABLE_HEADER):
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(_TABLE_HEADER)} "
                                  f"fields, got {len(parts)}")
             try:
-                vector = FeatureVector(np.array([float(v) for v in parts[2:]]))
+                FeatureVector(np.array([float(v) for v in parts[2:]]))
             except ValueError as exc:  # NonFinite and NonIntegral among them
                 raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
             key = (parts[0], parts[1])
             if key in seen:
                 raise ParseError(f"{path}:{reader.line_num}: duplicate row ({', '.join(key)})")
             seen.add(key)
-            rows.append(FeatureRow(parts[0], parts[1], vector))
-    return rows
+    raise RuntimeError(f"{path}: rejected, but every row parses")

@@ -9,7 +9,8 @@ bit-identical whatever was grown before it.
 
 Growth and descent run in the compiled kernel ``_tree.c``, loaded by
 :func:`flowregion.native.kernel`. The PCG64 states of a forest's trees are
-computed by one kernel call (``seeding._states``), and one more grows every
+computed by one kernel call (``seeding._stream_states``, which gives every
+fold's trees of a cross-validation pair at once), and one more grows every
 tree into the forest's single node store (:class:`TreeStore`) and lists its
 out-of-bag rows. The kernel draws from each tree's state as numpy's
 ``Generator`` would: the bootstrap sample as ``integers(0, n, size=n)``, then
@@ -104,7 +105,7 @@ class DesignMatrix:
         if max(self.X.shape) >= 1 << 32:
             raise ValueError("the tree kernel draws rows and predictors as 32-bit integers")
         if self.ranks is None:
-            self.ranks = _dense_ranks(self.X)
+            self.ranks = dense_ranks(self.X)
         self.ranks = np.ascontiguousarray(self.ranks, dtype=np.uint32)
         if self.ranks.shape != self.X.T.shape:
             raise ValueError("ranks must be laid out predictors x rows")
@@ -175,7 +176,7 @@ class ImportanceReport:
     ranks: np.ndarray  # permutation of 1..p, 1 = most important
 
 
-def _dense_ranks(X: np.ndarray) -> np.ndarray:
+def dense_ranks(X: np.ndarray) -> np.ndarray:
     """Dense rank of every value within its column, laid out predictors x rows."""
     cols = X.T
     order = cols.argsort(axis=1)
@@ -259,7 +260,7 @@ def _checked_mtry(y: np.ndarray, p: int, params: ForestParams) -> int:
 
 def _tree_streams(seed: int, n_trees: int) -> np.ndarray:
     """The PCG64 states of a forest's trees, one row per tree."""
-    return seeding._states(seed, ((_TREE_STREAM, t) for t in range(n_trees)))
+    return seeding._stream_states(seed, _TREE_STREAM, np.arange(n_trees))
 
 
 def fit(data: DesignMatrix, params: ForestParams | None = None, seed: int = 0) -> ForestModel:
@@ -297,7 +298,8 @@ def cross_predict(data: DesignMatrix, params: ForestParams | None, folds: list[n
         mtry = _checked_mtry(data.y[trains[-1]], p, params)
     n_trees = params.n_trees
     # tree i of the pair is tree i % n_trees of fold i // n_trees
-    states = np.concatenate([_tree_streams(seed, n_trees) for seed in seeds])
+    states = seeding._stream_states(np.repeat(np.array(seeds, dtype=np.uint64), n_trees),
+                                    _TREE_STREAM, np.tile(np.arange(n_trees), len(seeds)))
     sums, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
     total = len(folds) * n_trees
     for first in range(0, total, _BATCH):
@@ -386,7 +388,7 @@ def oob_error(model: ForestModel, data: DesignMatrix) -> float:
 def _shuffles(seed: int, tree: int, used: np.ndarray, m: int) -> np.ndarray:
     """numpy's ``permutation(m)`` from the substream of (tree, predictor j)
     for each j of ``used``, one row each, drawn by the kernel."""
-    states = seeding._states(seed, [(_PERM_STREAM, tree, j) for j in used.tolist()])
+    states = seeding._stream_states(seed, _PERM_STREAM, tree, used)
     perms = np.empty((used.size, m), dtype=np.int64)
     native.kernel().permutations(states.ctypes.data, used.size, m, perms.ctypes.data)
     return perms

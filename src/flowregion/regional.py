@@ -1,24 +1,26 @@
 """Regionalization analyses: correlation screening, cross-validated prediction,
 importance rankings and feature summaries over catchments.
 
-Every analysis reads one catchments x 28 block per variable. Predictor groups
-combine three column blocks: S = the 19 static attributes, T = the temperature
-block, P = the precipitation block; the targets are the columns of the
-streamflow block. The seven groups S, T, P, ST, SP, TP, STP are evaluated
-against each of the 28 streamflow features under a shared k-fold partition,
-with pooled RMSE.
+Every analysis reads a :class:`dataio.CatchmentTable`, whose blocks, 75-column
+predictor matrix and dense ranks are built once, when the table is built; the
+analyses only slice them. Predictor groups combine three column blocks: S =
+the 19 static attributes, T = the temperature block, P = the precipitation
+block; the targets are the columns of the streamflow block. A group's columns
+sliced from the table's ranks are the dense ranks of that group ranked on its
+own, so no analysis ranks again. The seven groups S, T, P, ST, SP, TP, STP
+are evaluated against each of the 28 streamflow features under a shared
+k-fold partition, with pooled RMSE.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord
+from .dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentTable
 from .engine import FEATURE_NAMES, parallel_map, write_table
 from .errors import BadK, ConstantVector, FlowRegionError, LengthMismatch
 from .forest import (
@@ -42,14 +44,11 @@ PRECIPITATION_PREDICTORS = tuple(f"precipitation_{f}" for f in FEATURE_NAMES)
 _BLOCKS = {"S": STATIC_ATTRIBUTES, "T": TEMPERATURE_PREDICTORS,
            "P": PRECIPITATION_PREDICTORS}
 
-#: All 75 potential predictors in canonical order.
+#: All 75 potential predictors in canonical order, that of the table's predictors.
 ALL_PREDICTORS = STATIC_ATTRIBUTES + TEMPERATURE_PREDICTORS + PRECIPITATION_PREDICTORS
 
-#: the block letter of every predictor and its place in that block
-_PREDICTOR_PLACE = {name: (letter, j) for letter, names in _BLOCKS.items()
-                    for j, name in enumerate(names)}
-
-_static_values = operator.itemgetter(*STATIC_ATTRIBUTES)
+#: the column of every predictor in CatchmentTable.predictors
+_COLUMN = {name: i for i, name in enumerate(ALL_PREDICTORS)}
 
 
 def group_columns(group: str) -> list[str]:
@@ -59,35 +58,16 @@ def group_columns(group: str) -> list[str]:
     return [col for letter in group for col in _BLOCKS[letter]]
 
 
-def _feature_block(records: list[CatchmentRecord], variable: str) -> np.ndarray:
-    """The catchments x 28 features of one variable."""
-    return np.array([r.features(variable).values for r in records])
+def predictor_matrix(table: CatchmentTable, columns: list[str]) -> np.ndarray:
+    """The catchments x predictors matrix of the given columns, sliced from
+    the table's predictors."""
+    return table.predictors[:, [_COLUMN[c] for c in columns]]
 
 
-def _predictor_block(records: list[CatchmentRecord], letter: str) -> np.ndarray:
-    """The catchments x predictors block S, T or P."""
-    if letter == "S":
-        return np.array([_static_values(r.static) for r in records], dtype=np.float64)
-    return _feature_block(records, "temperature" if letter == "T" else "precipitation")
-
-
-def predictor_matrix(records: list[CatchmentRecord], columns: list[str]) -> np.ndarray:
-    """Assemble the catchments x predictors matrix for the given columns,
-    from only the blocks they name."""
-    places = [_PREDICTOR_PLACE[c] for c in columns]
-    blocks = {letter: _predictor_block(records, letter)
-              for letter in dict.fromkeys(letter for letter, _ in places)}
-    X = np.empty((len(records), len(columns)), order="F")
-    for k, (letter, j) in enumerate(places):
-        X[:, k] = blocks[letter][:, j]
-    return X
-
-
-def target_vector(records: list[CatchmentRecord], feature: str) -> np.ndarray:
+def target_vector(table: CatchmentTable, feature: str) -> np.ndarray:
     if feature not in FEATURE_NAMES:
         raise ValueError(f"unknown streamflow feature {feature!r}")
-    j = FEATURE_NAMES.index(feature)
-    return np.fromiter((r.streamflow.values[j] for r in records), np.float64, len(records))
+    return table.blocks["streamflow"][:, FEATURE_NAMES.index(feature)].copy()
 
 
 # -- correlation analysis ----------------------------------------------------
@@ -141,19 +121,20 @@ class CorrelationMatrix:
     rho: np.ndarray
 
 
-def correlation_matrix(records: list[CatchmentRecord]) -> CorrelationMatrix:
-    if len(records) < 3:
+def correlation_matrix(table: CatchmentTable) -> CorrelationMatrix:
+    """Every entry is :func:`spearman` of its two columns, bit for bit: each
+    column is ranked once and its own dot product taken once, and each pair
+    takes one dot product. A constant column has zero ranks, so its entries
+    are 0 / 0, NaN."""
+    if len(table) < 3:
         raise LengthMismatch("need at least three catchments")
-    preds = predictor_matrix(records, list(ALL_PREDICTORS))
-    targets = _feature_block(records, "streamflow")
-    # each column is ranked once; a constant column (None) leaves NaN entries
-    pred_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in preds.T]
-    target_ranks = [_centred_ranks(c) if np.ptp(c) > 0.0 else None for c in targets.T]
-    rho = np.full((len(ALL_PREDICTORS), len(FEATURE_NAMES)), np.nan)
-    for i, rx in enumerate(pred_ranks):
-        for j, ry in enumerate(target_ranks):
-            if rx is not None and ry is not None:
-                rho[i, j] = _rank_pearson(rx, ry)
+    ranks = [[_centred_ranks(c) if np.ptp(c) > 0.0 else np.zeros(len(table)) for c in block.T]
+             for block in (table.predictors, table.blocks["streamflow"])]
+    pred_ranks, target_ranks = ranks
+    dots = np.array([[rx @ ry for ry in target_ranks] for rx in pred_ranks])
+    own = [np.array([r @ r for r in block]) for block in ranks]
+    with np.errstate(invalid="ignore"):
+        rho = dots / np.sqrt(np.multiply.outer(*own))
     return CorrelationMatrix(list(ALL_PREDICTORS), list(FEATURE_NAMES), rho)
 
 
@@ -192,14 +173,13 @@ class CrossValResult:
 
 
 def cross_validate(
-    records: list[CatchmentRecord],
+    table: CatchmentTable,
     target: str,
     group: str,
     k: int = 10,
     params: ForestParams | None = None,
     seed: int = 0,
     folds: list[np.ndarray] | None = None,
-    design: DesignMatrix | None = None,
 ) -> CrossValResult:
     """k-fold cross-validated prediction of one streamflow feature.
 
@@ -207,16 +187,15 @@ def cross_validate(
     its fold) and the RMSE pools all catchments rather than averaging
     per-fold scores. ``folds``, when given, overrides ``k`` and the seeded
     partition; it must put each record in exactly one fold, and no fold may
-    hold every record, or :class:`BadK` is raised. ``design``, a design
-    matrix of these records whose columns include the group's (its target is
-    ignored), saves assembling and ranking the group's columns again.
+    hold every record, or :class:`BadK` is raised. The group's columns and
+    their ranks are sliced from the table.
 
     Each fold's forest is the one ``fit`` grows with the fold's seed on the
     other folds' rows, and each prediction the one its ``predict`` makes, bit
     for bit; :func:`forest.cross_predict` grows the pair's forests in kernel
     batches without building them one by one.
     """
-    n = len(records)
+    n = len(table)
     if folds is None:
         if not 2 <= k <= n // 2:
             raise BadK(f"k must be at least 2 and at most half the {n} records, got {k}")
@@ -228,13 +207,8 @@ def cross_validate(
         if any(len(fold) == n for fold in folds):
             raise BadK(f"a fold holds all {n} records and leaves none to train on")
     columns = group_columns(group)
-    y = target_vector(records, target)
-    if design is None:
-        data = DesignMatrix(columns, predictor_matrix(records, columns), y)
-    else:
-        position = {c: i for i, c in enumerate(design.columns)}
-        index = [position[c] for c in columns]
-        data = DesignMatrix(columns, design.X[:, index], y, design.ranks[index])
+    data = DesignMatrix(columns, predictor_matrix(table, columns), target_vector(table, target),
+                        table.ranks[[_COLUMN[c] for c in columns]])
     seeds = child_seeds(seed, [("cv", target, group, f) for f in range(len(folds))])
     predictions = cross_predict(data, params, folds, seeds)
     return CrossValResult(predictions=predictions, rmse=rmse(predictions, data.y))
@@ -258,17 +232,16 @@ class EvaluationReport:
 
 
 def _cv_job(shared, pair):
-    records, params, seed, folds, design = shared
+    table, params, seed, folds = shared
     target, group = pair
     try:
-        return cross_validate(records, target, group, params=params,
-                              seed=seed, folds=folds, design=design)
+        return cross_validate(table, target, group, params=params, seed=seed, folds=folds)
     except FlowRegionError as exc:
         raise type(exc)(f"({target}, {group}): {exc}") from exc
 
 
 def evaluate_all(
-    records: list[CatchmentRecord],
+    table: CatchmentTable,
     params: ForestParams | None = None,
     seed: int = 0,
     k: int = 10,
@@ -291,13 +264,11 @@ def evaluate_all(
         raise ValueError(f"unknown group(s): {', '.join(unknown)}")
     if len(set(groups)) != len(groups):
         raise ValueError(f"repeated group(s): {', '.join(groups)}")
-    if not 2 <= k <= len(records) // 2:
-        raise BadK(f"k must be at least 2 and at most half the {len(records)} records, got {k}")
-    folds = kfold_split(len(records), k, child_seed(seed, "folds"))
+    if not 2 <= k <= len(table) // 2:
+        raise BadK(f"k must be at least 2 and at most half the {len(table)} records, got {k}")
+    folds = kfold_split(len(table), k, child_seed(seed, "folds"))
     pairs = [(target, group) for target in FEATURE_NAMES for group in groups]
-    # one predictor matrix and one ranking serve every pair
-    outcomes = parallel_map(_cv_job, pairs, workers,
-                            shared=(records, params, seed, folds, _full_design(records)))
+    outcomes = parallel_map(_cv_job, pairs, workers, shared=(table, params, seed, folds))
 
     scores = np.array([r.rmse for r in outcomes]).reshape(len(FEATURE_NAMES), len(groups))
     prediction_group = "STP" if "STP" in groups else None
@@ -317,14 +288,14 @@ def evaluate_all(
         np.divide(100.0 * (static - scores), static, out=relative,
                   where=static != 0.0)
 
-    observed = dict(zip(FEATURE_NAMES, _feature_block(records, "streamflow").T))
+    observed = dict(zip(FEATURE_NAMES, table.blocks["streamflow"].T.copy()))
     return EvaluationReport(
         targets=list(FEATURE_NAMES),
         groups=list(groups),
         rmse=scores,
         ranks=ranks,
         relative_scores=relative,
-        catchment_ids=[r.catchment_id for r in records],
+        catchment_ids=list(table.ids),
         observed=observed,
         predicted=predicted,
         folds=folds,
@@ -333,30 +304,26 @@ def evaluate_all(
 
 
 def _importance_job(shared, target):
-    records, design, params, seed = shared
-    data = replace(design, y=target_vector(records, target))
+    table, params, seed = shared
+    data = DesignMatrix(list(ALL_PREDICTORS), table.predictors, target_vector(table, target),
+                        table.ranks)
     model = fit(data, params, seed=child_seed(seed, "imp", target))
     return permutation_importance(model, data, seed=child_seed(seed, "perm", target))
 
 
-def _full_design(records: list[CatchmentRecord]) -> DesignMatrix:
-    """All 75 predictors, ranked once, with the first streamflow feature as
-    a placeholder target."""
-    columns = list(ALL_PREDICTORS)
-    return DesignMatrix(columns, predictor_matrix(records, columns),
-                        target_vector(records, FEATURE_NAMES[0]))
-
-
 def importance_all(
-    records: list[CatchmentRecord],
+    table: CatchmentTable,
     params: ForestParams | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> dict[str, ImportanceReport]:
-    """Permutation importance of all 75 predictors for each streamflow feature."""
-    # one predictor matrix and one ranking serve every target
+    """Permutation importance of all 75 predictors for each streamflow
+    feature. Fewer than two catchments raise :class:`LengthMismatch` before
+    any forest grows."""
+    if len(table) < 2:
+        raise LengthMismatch(f"importance needs at least two catchments, got {len(table)}")
     reports = parallel_map(_importance_job, FEATURE_NAMES, workers,
-                           shared=(records, _full_design(records), params, seed))
+                           shared=(table, params, seed))
     return dict(zip(FEATURE_NAMES, reports))
 
 
@@ -374,13 +341,13 @@ class SummaryRow:
     mean: float
 
 
-def feature_summary(records: list[CatchmentRecord]) -> list[SummaryRow]:
+def feature_summary(table: CatchmentTable) -> list[SummaryRow]:
     """Plot-ready distribution summaries of every feature per variable kind."""
-    if not records:
+    if not len(table):
         raise LengthMismatch("need at least one record")
     rows = []
     for variable in VARIABLE_KINDS:
-        for feature, col in zip(FEATURE_NAMES, _feature_block(records, variable).T):
+        for feature, col in zip(FEATURE_NAMES, table.blocks[variable].T):
             q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75])
             rows.append(SummaryRow(
                 variable=variable, feature=feature,

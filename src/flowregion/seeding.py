@@ -14,9 +14,12 @@ from those words. :func:`substream` and :func:`child_seed` are the same for
 one label.
 
 The forest builds no generator: :mod:`flowregion.forest` hands the PCG64
-states of ``_states`` to the tree kernel, which draws from them as numpy's
-``Generator`` does. numpy Generators are still built by :func:`substream`
-for ``regional.kfold_split`` and for each catchment of
+states of ``_stream_states`` to the tree kernel, which draws from them as
+numpy's ``Generator`` does. That function builds the words of the streams
+indexed by integers, ``("tree", t)`` and ``("perm", t, j)``, as arrays, so a
+forest's trees, or every fold's trees of a cross-validation pair, take one
+call whatever their number. numpy Generators are still built by
+:func:`substream` for ``regional.kfold_split`` and for each catchment of
 :mod:`flowregion.synthetic`, and by the test suite's reference grower.
 """
 
@@ -70,9 +73,33 @@ def _states(seed, labels) -> np.ndarray:
         for part in label:
             words.extend(_uint32_words(_as_word(part)))
         offsets.append(len(words))
-    out = np.empty((len(offsets) - 1, _STATE_WORDS), dtype=np.uint64)
-    words = np.array(words, dtype=np.uint32)
-    offsets = np.array(offsets, dtype=np.int64)
+    return _seed_states(np.array(words, dtype=np.uint32), np.array(offsets, dtype=np.int64))
+
+
+def _stream_states(*parts) -> np.ndarray:
+    """``_states`` of labels that differ only in integer parts, their words
+    built by numpy rather than label by label: row i is the state of the
+    words of entry i of each part, the seed first. A part is a str or an int,
+    the same in every row, or an integer array with one entry per row."""
+    m = max((p.size for p in parts if isinstance(p, np.ndarray)), default=1)
+    values = np.empty((m, len(parts)), dtype=np.uint64)
+    for k, part in enumerate(parts):
+        values[:, k] = part if isinstance(part, np.ndarray) else _as_word(part)
+    values &= _MASK
+    halves = np.empty((m, len(parts), 2), dtype=np.uint32)  # low, high word
+    halves[:, :, 0] = values
+    halves[:, :, 1] = values >> 32
+    keep = halves != 0  # every low word, and a high word that is not zero
+    keep[:, :, 0] = True
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=(1, 2)), out=offsets[1:])
+    return _seed_states(halves[keep], offsets)
+
+
+def _seed_states(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The PCG64 state of the uint32 words of each row i,
+    ``words[offsets[i]:offsets[i + 1]]``, from one kernel call."""
+    out = np.empty((offsets.size - 1, _STATE_WORDS), dtype=np.uint64)
     native.kernel().seed_states(words.ctypes.data, offsets.ctypes.data, len(out), out.ctypes.data)
     return out
 

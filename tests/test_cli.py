@@ -13,8 +13,16 @@ import pytest
 
 from flowregion import cli
 from flowregion.cli import main
-from flowregion.dataio import IngestConfig
-from flowregion.engine import FEATURE_NAMES, FeatureConfig
+from flowregion.dataio import (
+    VARIABLE_KINDS,
+    IngestConfig,
+    assemble_rows,
+    load_dataset,
+    read_attributes,
+)
+from flowregion.engine import FEATURE_NAMES, FeatureConfig, read_feature_table
+from flowregion.forest import ForestParams
+from flowregion.regional import correlation_matrix, evaluate_all, importance_all
 
 
 def run(*args):
@@ -217,6 +225,53 @@ class TestImportance:
         assert first[0] == FEATURE_NAMES[0]
         ranks = {int(line.split(",")[3]) for line in lines[1:76]}
         assert ranks == set(range(1, 76))
+
+
+@pytest.mark.parametrize("size, count", [
+    # 730-day series are too short for temperature's ACF set: no complete catchment
+    (("--synthetic-catchments", "12", "--synthetic-years", "2"), 0),
+    (("--synthetic-catchments", "1", "--synthetic-years", "3"), 1),
+], ids=["none", "one"])
+def test_importance_with_too_few_catchments_exits_3(tmp_path, capsys, size, count):
+    out = tmp_path / "o"
+    options = ("--out", str(out), "--synthetic", *size, "--trees", "2", "--workers", "1")
+    assert run("extract", *options) == 0
+    features = (out / "features.csv").read_text().splitlines()
+    assert len(features) == 1 + 3 * count  # the header alone when none is complete
+    capsys.readouterr()
+    assert run("importance", *options) == 3
+    assert f"at least two catchments, got {count}" in capsys.readouterr().err
+    assert run("correlate", *options) == 3
+
+
+def test_extracted_and_reread_tables_agree(tmp_path):
+    """The table that load_dataset builds from the series and the one built
+    from the features.csv and attributes.csv that extract wrote hold the same
+    bytes, and so give the same analyses."""
+    options = ("--out", str(tmp_path / "o"), "--synthetic", "--synthetic-catchments", "24",
+               "--synthetic-years", "3", "--workers", "1")
+    assert run("extract", *options) == 0
+    cfg = cli._resolve_inputs(cli.RunConfig.from_options(vars(cli._parser().parse_args(
+        ["extract", *options]))))
+    extracted, _ = load_dataset(cfg.series_dir, cfg.attributes_file, cfg.ingest)
+    reread = assemble_rows(read_feature_table(cfg.output_dir / "features.csv"),
+                           read_attributes(cfg.attributes_file))
+    assert len(extracted) == 24 and reread.ids == extracted.ids
+    for name in ("static", "predictors", "ranks"):
+        assert getattr(reread, name).tobytes() == getattr(extracted, name).tobytes(), name
+    for variable in VARIABLE_KINDS:
+        assert reread.blocks[variable].tobytes() == extracted.blocks[variable].tobytes()
+    params = ForestParams(n_trees=4)
+    a, b = (correlation_matrix(t).rho for t in (extracted, reread))
+    assert a.tobytes() == b.tobytes()
+    a, b = (importance_all(t, params, seed=3) for t in (extracted, reread))
+    for target in FEATURE_NAMES:
+        assert a[target].scores.tobytes() == b[target].scores.tobytes(), target
+        assert a[target].ranks.tobytes() == b[target].ranks.tobytes(), target
+    a, b = (evaluate_all(t, params, seed=3, k=3) for t in (extracted, reread))
+    assert a.rmse.tobytes() == b.rmse.tobytes()
+    for target in FEATURE_NAMES:
+        assert a.predicted[target].tobytes() == b.predicted[target].tobytes(), target
 
 
 class TestFeatureTableReuse:

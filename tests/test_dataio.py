@@ -1,5 +1,6 @@
 import csv
 import datetime
+import math
 import random
 import shutil
 
@@ -384,9 +385,59 @@ class TestReadAttributes:
         path.write_text(header + "\n" + row + "\n")
         raw = read_attributes(path, log_transform=False)
         logged = read_attributes(path, log_transform=True)
-        assert raw["c0"]["log_elev_mean"] == 100.0
-        assert logged["c0"]["log_elev_mean"] == pytest.approx(2.0)
-        assert logged["c0"]["frac_forest"] == 0.5
+        elev, forest = (STATIC_ATTRIBUTES.index(a) for a in ("log_elev_mean", "frac_forest"))
+        assert raw["c0"][elev] == 100.0
+        assert logged["c0"][elev] == pytest.approx(2.0)
+        assert logged["c0"][forest] == 0.5
+
+
+    @pytest.mark.parametrize("edits, log_transform, message", [
+        # (line, attribute or None for a cut row, value); the first bad line is named
+        ([(3, "sand_frac", "nan"), (5, None, None)], False, ":3: non-finite sand_frac"),
+        ([(5, "sand_frac", "nan"), (3, None, None)], False, ":3: expected 20 fields"),
+        ([(4, "log_slope_mean", "0"), (2, "frac_forest", "inf")], True,
+         ":2: non-finite frac_forest"),
+        ([(4, "log_slope_mean", "0")], True, ":4: log_slope_mean must be positive"),
+        ([(4, "log_slope_mean", "0")], False, None),
+        ([(3, "clay_frac", "x"), (2, "catchment_id", "c3")], False,
+         ":3: could not convert string to float: 'x'"),
+        ([(5, "catchment_id", "c1")], False, ":5: duplicate catchment c1"),
+    ])
+    def test_first_bad_row_of_the_block_is_named(self, tmp_path, edits, log_transform,
+                                                 message):
+        header = ["catchment_id", *reversed(STATIC_ATTRIBUTES)]  # any column order
+        lines = [",".join(header)] + [
+            ",".join([f"c{i}"] + [f"{10.0 + i + k / 8}" for k in range(19)])
+            for i in range(5)]
+        for line, name, value in edits:
+            parts = lines[line - 1].split(",")
+            if name is None:
+                parts.pop()
+            else:
+                parts[header.index(name)] = value
+            lines[line - 1] = ",".join(parts)
+        path = tmp_path / "attributes.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if message is None:
+            values = read_attributes(path, log_transform)["c2"]
+            assert values[STATIC_ATTRIBUTES.index("log_slope_mean")] == 0.0
+            return
+        with pytest.raises(ParseError, match="attributes.csv" + message):
+            read_attributes(path, log_transform)
+
+    def test_values_follow_float_and_log10_of_each_field(self, tmp_path):
+        rng = np.random.default_rng(2)
+        header = ["catchment_id", *STATIC_ATTRIBUTES]
+        texts = [[repr(float(v)) for v in row] for row in rng.lognormal(size=(30, 19))]
+        path = tmp_path / "attributes.csv"
+        path.write_text("\n".join([",".join(header)] + [
+            ",".join([f"c{i:02d}", *row]) for i, row in enumerate(texts)]) + "\n")
+        for log_transform in (False, True):
+            got = read_attributes(path, log_transform)
+            for i, row in enumerate(texts):
+                want = [math.log10(float(v)) if log_transform and name in dataio.LOG_ATTRIBUTES
+                        else float(v) for name, v in zip(STATIC_ATTRIBUTES, row)]
+                assert got[f"c{i:02d}"].tobytes() == np.array(want).tobytes()
 
 
 class TestLoadDataset:

@@ -303,10 +303,10 @@ class TestFeatureTableIO:
         path = tmp_path / "features.csv"
         write_feature_table(path, rows)
         reread = read_feature_table(path)
-        assert [(r.catchment_id, r.variable) for r in reread] == \
-            [(r.catchment_id, r.variable) for r in rows]
+        assert list(reread) == [(r.catchment_id, r.variable) for r in rows]
         second = tmp_path / "again.csv"
-        write_feature_table(second, reread)
+        write_feature_table(second, [FeatureRow(cid, variable, FeatureVector(values))
+                                     for (cid, variable), values in reread.items()])
         assert path.read_bytes() == second.read_bytes()
 
     def test_values_survive_round_trip(self, tmp_path):
@@ -314,7 +314,8 @@ class TestFeatureTableIO:
         path = tmp_path / "features.csv"
         write_feature_table(path, rows)
         reread = read_feature_table(path)
-        np.testing.assert_array_equal(reread[0].features.values, rows[0].features.values)
+        key = (rows[0].catchment_id, rows[0].variable)
+        assert reread[key].tobytes() == rows[0].features.values.tobytes()
 
     def test_corrupt_value_rejected(self, tmp_path):
         rows, _ = extract_batch(_batch_tasks(1))
@@ -328,6 +329,48 @@ class TestFeatureTableIO:
         with pytest.raises(ParseError, match=r"features.csv:2: non-finite .*: x_acf1"):
             read_feature_table(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        # (line, field, value) edits; the first bad line is named whatever follows it
+        ([(3, 2, "nan"), (5, None, None)], r":3: non-finite .*: x_acf1"),
+        ([(5, 2, "nan"), (3, None, None)], r":3: expected 30 fields, got 29"),
+        ([(4, 17, "2.5"), (6, 2, "x")], r":4: flat_spots must be integral"),
+        ([(6, 2, "x"), (4, 17, "2.5")], r":4: flat_spots must be integral"),
+        ([(2, 2, "inf")], r":2: non-finite .*: x_acf1"),
+        ([(7, 0, "c00"), (7, 1, "precipitation")], r":7: duplicate row \(c00, precipitation\)"),
+    ])
+    def test_first_bad_row_of_the_block_is_named(self, tmp_path, bad, message):
+        rows, _ = extract_batch(_batch_tasks(2))
+        path = tmp_path / "features.csv"
+        write_feature_table(path, rows)
+        lines = path.read_text().splitlines()
+        for line, field, value in bad:
+            parts = lines[line - 1].split(",")
+            if field is None:
+                parts.pop()
+            else:
+                parts[field] = value
+            lines[line - 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="features.csv" + message):
+            read_feature_table(path)
+
+    def test_block_conversion_is_float_of_each_field(self, tmp_path):
+        # 600 rows: more than two chunks, the last one partial
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2**63, size=(600, 28), dtype=np.int64).view(np.float64)
+        values = np.where(np.isfinite(bits), bits, 1.0)
+        values[:, [FEATURE_NAMES.index(n) for n in engine.INTEGER_FEATURES]] = 3.0
+        path = tmp_path / "features.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(["catchment_id", "variable", *FEATURE_NAMES]) + "\n")
+            for i, row in enumerate(values.tolist()):
+                texts = [f"{v:.{i % 20}e}" if i % 3 else repr(v) for v in row]
+                fh.write(f"c{i:03d},streamflow," + ",".join(texts) + "\n")
+        table = read_feature_table(path)
+        with open(path, encoding="utf-8") as fh:
+            expected = [[float(v) for v in line.split(",")[2:]] for line in fh.readlines()[1:]]
+        assert np.array(list(table.values())).tobytes() == np.array(expected).tobytes()
+
     def test_header_check(self, tmp_path):
         path = tmp_path / "bogus.csv"
         path.write_text("nope\n")
@@ -340,8 +383,7 @@ class TestFeatureTableIO:
         write_feature_table(path, rows)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n")
-        assert [(r.catchment_id, r.variable) for r in read_feature_table(path)] == \
-            [(r.catchment_id, r.variable) for r in rows]
+        assert list(read_feature_table(path)) == [(r.catchment_id, r.variable) for r in rows]
         lines[2] = lines[2].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"features\.csv:3: expected 30 fields, got 29"):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowregion.dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord
+from flowregion.dataio import STATIC_ATTRIBUTES, VARIABLE_KINDS, CatchmentRecord, CatchmentTable
 from flowregion.engine import FEATURE_NAMES, FeatureVector
 from flowregion.errors import BadK, ConstantVector, DegenerateTarget, LengthMismatch
 from flowregion import regional
-from flowregion.forest import DesignMatrix, ForestParams, fit, predict
+from flowregion.forest import DesignMatrix, ForestParams, dense_ranks, fit, predict
 from flowregion.seeding import child_seed
 from flowregion.regional import (
     ALL_PREDICTORS,
@@ -46,8 +46,20 @@ def random_vector(rng):
     return FeatureVector(values)
 
 
+def table_of(records):
+    """The catchment table of ``records``."""
+    return CatchmentTable([r.catchment_id for r in records],
+                          [[r.static[a] for a in STATIC_ATTRIBUTES] for r in records],
+                          {v: [r.features(v).values for r in records] for v in VARIABLE_KINDS})
+
+
 def synthetic_records(n, seed=0, link=None):
-    """Records with random features; ``link`` may rewrite streamflow values."""
+    """A table of records with random features; ``link`` may rewrite
+    streamflow values."""
+    return table_of(random_records(n, seed, link))
+
+
+def random_records(n, seed=0, link=None):
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):
@@ -196,6 +208,51 @@ class TestGroups:
             assert target_vector(records, feature).tobytes() == reference.tobytes(), feature
 
 
+class TestCatchmentTable:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_group_columns_of_the_table_ranks_are_the_group_ranked_alone(self, tied):
+        table = tied_records(40, seed=3) if tied else synthetic_records(40, seed=3)
+        assert table.predictors.flags.c_contiguous
+        assert table.predictors.tobytes() == predictor_matrix(table, ALL_PREDICTORS).tobytes()
+        for group in GROUP_NAMES:
+            columns = group_columns(group)
+            index = [ALL_PREDICTORS.index(c) for c in columns]
+            alone = dense_ranks(predictor_matrix(table, columns))
+            assert table.ranks[index].tobytes() == alone.tobytes(), group
+
+    def test_records_read_back_the_blocks(self):
+        records = random_records(6, seed=4)
+        table = table_of(records)
+        assert len(table) == 6 and table.ids == [r.catchment_id for r in records]
+        for record, again in zip(records, table):
+            assert again.static == record.static
+            for variable in VARIABLE_KINDS:
+                assert (again.features(variable).values.tobytes()
+                        == record.features(variable).values.tobytes())
+        assert table[-1].catchment_id == records[-1].catchment_id
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_table_of_none_or_one_catchment_is_legal(self, n, monkeypatch):
+        table = synthetic_records(n, seed=5)
+        assert table.predictors.shape == (n, 75) and table.ranks.shape == (75, n)
+        assert [r.catchment_id for r in table] == table.ids
+
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was grown")
+
+        monkeypatch.setattr(regional, "fit", no_forest)
+        with pytest.raises(LengthMismatch, match=f"at least two catchments, got {n}"):
+            importance_all(table, ForestParams(n_trees=2))
+
+    def test_ids_must_be_sorted_and_distinct(self):
+        blocks = {v: np.zeros((2, 28)) for v in VARIABLE_KINDS}
+        for ids in (["b", "a"], ["a", "a"]):
+            with pytest.raises(ValueError, match="sorted and distinct"):
+                CatchmentTable(ids, np.zeros((2, 19)), blocks)
+        with pytest.raises(ValueError, match="2 x 19 block"):
+            CatchmentTable(["a", "b"], np.zeros((19, 2)), blocks)
+
+
 class TestCorrelationMatrix:
     def test_shape(self):
         matrix = correlation_matrix(synthetic_records(12, seed=2))
@@ -216,6 +273,26 @@ class TestCorrelationMatrix:
         matrix = correlation_matrix(synthetic_records(10, seed=4, link=link))
         assert np.isnan(matrix.rho[:, 5]).all()
         assert np.isfinite(matrix.rho[:, 0]).all()
+
+    def test_every_entry_is_spearman_of_its_columns_bit_for_bit(self):
+        def link(values, precipitation, rng):
+            values[5] = 7.0  # a constant target column
+
+        records = random_records(40, seed=6, link=link)
+        for r in records[::3]:
+            r.static = {a: float(round(v)) for a, v in r.static.items()}  # ties
+        for r in records:
+            r.static["sand_frac"] = 0.25  # a constant predictor column
+        table = table_of(records)
+        matrix = correlation_matrix(table)
+        preds = predictor_matrix(table, list(ALL_PREDICTORS))
+        for i, predictor in enumerate(ALL_PREDICTORS):
+            for j, feature in enumerate(FEATURE_NAMES):
+                x, y = preds[:, i], target_vector(table, feature)
+                if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                    assert np.isnan(matrix.rho[i, j]), (predictor, feature)
+                else:
+                    assert matrix.rho[i, j] == spearman(x, y), (predictor, feature)
 
     def test_matches_brute_force(self):
         records = synthetic_records(15, seed=5)
@@ -361,16 +438,17 @@ class TestCrossValidate:
         assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
-def per_fold_reference(records, target, group, params, seed, folds):
+def per_fold_reference(table, target, group, params, seed, folds):
     """Held-out predictions of one forest per fold, fitted on the other
-    folds' rows with the full matrix's ranks at those rows, then predicted."""
+    folds' rows with the ranks of the group's own columns at those rows (not
+    the table's ranks, which ``cross_validate`` slices), then predicted."""
     columns = group_columns(group)
-    X = predictor_matrix(records, columns)
-    y = target_vector(records, target)
+    X = predictor_matrix(table, columns)
+    y = target_vector(table, target)
     ranks = DesignMatrix(columns, X, y).ranks
-    predictions = np.empty(len(records))
+    predictions = np.empty(len(table))
     for f, fold in enumerate(folds):
-        train = np.setdiff1d(np.arange(len(records)), fold)
+        train = np.setdiff1d(np.arange(len(table)), fold)
         model = fit(DesignMatrix(columns, X[train], y[train], ranks[:, train]), params,
                     seed=child_seed(seed, "cv", target, group, f))
         predictions[fold] = predict(model, X[fold])
@@ -378,11 +456,11 @@ def per_fold_reference(records, target, group, params, seed, folds):
 
 
 def tied_records(n, seed):
-    """Records whose static attributes are small integers: heavy ties."""
-    records = synthetic_records(n, seed=seed)
+    """A table whose static attributes are small integers: heavy ties."""
+    records = random_records(n, seed=seed)
     for r in records:
         r.static = {a: float(round(v)) for a, v in r.static.items()}
-    return records
+    return table_of(records)
 
 
 # (group, records, k, trees, min_node_size, tied static attributes)
@@ -492,8 +570,8 @@ class TestEvaluateAll:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shared_design_matches_standalone_pairs(self, workers):
-        # evaluate_all slices every pair's design from one ranked 75-column
-        # matrix; a standalone cross_validate builds and ranks its own
+        # evaluate_all runs every pair in its pool on the table it was given;
+        # each standalone cross_validate call reads the same table in-process
         records = synthetic_records(24, seed=26)
         params = ForestParams(n_trees=8)
         report = evaluate_all(records, params, seed=27, k=3, workers=workers)
@@ -508,7 +586,7 @@ class TestEvaluateAll:
     def test_exact_static_fit_gives_undefined_relative_scores(self, monkeypatch,
                                                               tmp_path):
         def exact_static_fit(records, target, group, params=None, seed=0,
-                             folds=None, design=None):
+                             folds=None):
             y = target_vector(records, target)
             pred = y if (group, target) == ("S", "entropy") else y + 1.0
             return CrossValResult(pred, rmse(pred, y))

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from flowregion.seeding import child_seed, child_seeds, substream, substreams
+from flowregion.seeding import _stream_states, child_seed, child_seeds, substream, substreams
 
 
 def _word(part) -> int:
@@ -78,3 +78,45 @@ def test_draws_follow_the_stream():
 def test_no_labels():
     assert list(substreams(1, [])) == []
     assert child_seeds(1, []) == []
+
+
+#: one uint32 word up to 2**32 - 1, two from 2**32 up to 2**63 - 1
+STREAM_EDGES = (0, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+def seed_sequence_states(rows) -> np.ndarray:
+    """numpy's own state words of each row of (seed, *label)."""
+    return np.array([reference_sequence(*row).generate_state(4, np.uint64) for row in rows])
+
+
+@pytest.mark.parametrize("seed", [*STREAM_EDGES, "master"])
+def test_stream_states_equal_seed_sequence(seed):
+    index = np.array(STREAM_EDGES, dtype=np.uint64)
+    edges = [int(v) for v in index]
+    cases = [
+        ((seed, "tree", index), [(seed, "tree", v) for v in edges]),
+        ((seed, "perm", 2**32, index), [(seed, "perm", 2**32, v) for v in edges]),
+        ((seed, "perm", index, index[::-1]),
+         [(seed, "perm", a, b) for a, b in zip(edges, edges[::-1])]),
+        ((seed, "tree", 2**32 - 1), [(seed, "tree", 2**32 - 1)]),
+        ((seed, "cv", "entropy", 3), [(seed, "cv", "entropy", 3)]),
+    ]
+    for parts, rows in cases:
+        got = _stream_states(*parts)
+        assert got.tobytes() == seed_sequence_states(rows).tobytes(), parts
+
+
+def test_stream_states_take_a_seed_per_row():
+    # every fold's trees of a cross-validation pair in one call
+    seeds = np.repeat(np.array(STREAM_EDGES, dtype=np.uint64), 3)
+    trees = np.tile(np.arange(3), len(STREAM_EDGES))
+    want = seed_sequence_states([(int(s), "tree", int(t)) for s, t in zip(seeds, trees)])
+    assert _stream_states(seeds, "tree", trees).tobytes() == want.tobytes()
+
+
+def test_stream_states_mask_as_labels_do():
+    # a negative index is masked to 63 bits, as an int label part is
+    index = np.array([-1, -(2**40), 5], dtype=np.int64)
+    want = seed_sequence_states([(7, "perm", 1, int(j)) for j in index])
+    assert _stream_states(7, "perm", 1, index).tobytes() == want.tobytes()
+    assert _stream_states(7, "perm", 1, index[:0]).shape == (0, 4)
